@@ -14,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-pub mod perf;
 pub mod published;
 
 use std::sync::OnceLock;
@@ -114,7 +113,8 @@ pub fn prepare_named(names: &[&str]) -> Result<Vec<PreparedWorkload>, PipelineEr
 /// loading already-evaluated points from the content-addressed artifact
 /// store (`target/prism-artifacts`, override with `PRISM_ARTIFACT_DIR`).
 /// Artifacts invalidate automatically when any input changes; a fully
-/// cached run does no tracing at all. Cache hit/miss counts are logged.
+/// cached run does no tracing at all. `--stats` prints the session
+/// counters.
 ///
 /// Failures are isolated per unit: the report carries results for every
 /// healthy design point plus a quarantine list for the rest.
@@ -155,7 +155,6 @@ pub fn full_design_space() -> SweepReport {
     }
     let s = session();
     let report = s.full_design_space_resumable(resume_requested());
-    s.log_stats();
     log_stats_if_requested();
     report
 }

@@ -363,7 +363,6 @@ fn main() {
         "PRISM_MAX_NODES",
         "PRISM_DIVERGENCE",
         "PRISM_ARTIFACT_DIR",
-        "PRISM_REFRESH",
         "PRISM_CRASH",
         "PRISM_GRID_TIMEOUT_MS",
         "PRISM_NO_FSYNC",

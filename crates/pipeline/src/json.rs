@@ -5,6 +5,12 @@
 //! and floats are written with Rust's shortest-round-trip formatting so a
 //! reloaded artifact is bit-identical to a recomputed one.
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// Prism writes (artifacts, journal records, grid and net frames) nests
+/// far less; the cap keeps a hostile `[[[…]]]` frame from overflowing
+/// the parser's stack and aborting the process.
+pub const MAX_NESTING: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -133,11 +139,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error,
+    /// or of nesting deeper than [`MAX_NESTING`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -180,6 +188,7 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -221,11 +230,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, failing instead of
+    /// recursing past [`MAX_NESTING`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -414,5 +438,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        assert!(Json::parse(&nested(MAX_NESTING + 1)).is_err());
+        // A hostile frame: 100 000 levels must be an error, not an abort.
+        let err = Json::parse(&nested(100_000)).expect_err("too deep");
+        assert!(err.contains("nesting"), "{err}");
+        let objects = "{\"a\":".repeat(100_000) + "1" + &"}".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
     }
 }

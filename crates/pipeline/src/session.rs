@@ -24,7 +24,7 @@ use prism_exocore::{
     OracleTable, WorkloadData, WorkloadMetrics,
 };
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
-use prism_tdg::{price_exocore, run_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
+use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
 use prism_udg::{simulate_reference, simulate_trace, CoreConfig, ExecBudget, NODES_PER_INST};
 use prism_workloads::{Suite, Workload};
 
@@ -83,7 +83,7 @@ pub struct SessionStats {
     /// Wall-clock nanoseconds spent producing them.
     pub sim_nanos: u64,
     /// Wall-clock nanoseconds spent in combined-TDG trace walks (µDG
-    /// timing model, [`run_exocore`] / [`run_exocore_timing`]).
+    /// timing model, [`run_exocore_timing`]).
     pub udg_nanos: u64,
     /// Wall-clock nanoseconds spent in IR reconstruction + accelerator
     /// analysis ([`WorkloadData::from_trace`]).
@@ -293,18 +293,6 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
 /// hashing, fault injection, prewarm, and chunk-level reuse across runs.
 pub const STREAM_ENV: &str = "PRISM_STREAM";
 
-/// Opt-out escape hatch: set (non-empty, non-`"0"`) to disable the
-/// trace-walk timing memo and evaluate every design point with a full
-/// [`run_exocore`] — the reference behavior for debugging the composed
-/// path. Results are byte-identical either way.
-pub const NO_COMPOSE_ENV: &str = "PRISM_NO_COMPOSE";
-
-/// Opt-out escape hatch: set (non-empty, non-`"0"`) to disable the
-/// persistent timing-artifact cache — trace-walk timings are then only
-/// memoized in-process and never loaded from or saved to the artifact
-/// store. Results are byte-identical either way.
-pub const NO_TIMING_CACHE_ENV: &str = "PRISM_NO_TIMING_CACHE";
-
 /// The pipeline session: memoized stages + content-addressed artifacts +
 /// deterministic parallelism.
 #[derive(Debug)]
@@ -317,8 +305,6 @@ pub struct Session {
     budget: ExecBudget,
     guard: Option<DivergenceGuard>,
     streaming: bool,
-    composition: bool,
-    timing_cache: bool,
     workloads: Mutex<HashMap<ContentHash, Arc<WorkloadData>>>,
     tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
     timings: Mutex<HashMap<ContentHash, Arc<ExoTiming>>>,
@@ -353,19 +339,9 @@ impl Session {
     /// # Panics
     ///
     /// Panics when `PRISM_MAX_NODES` is set but not a number (like the
-    /// other env knobs, a typo must not silently disable the budget), and
-    /// when the removed `PRISM_REFRESH` variable is still set: artifacts
-    /// in the content-addressed store invalidate themselves when any
-    /// input changes, so there is nothing left to refresh.
+    /// other env knobs, a typo must not silently disable the budget).
     #[must_use]
     pub fn new() -> Self {
-        assert!(
-            std::env::var_os("PRISM_REFRESH").is_none(),
-            "PRISM_REFRESH was removed: the content-addressed artifact store \
-             (target/prism-artifacts, or $PRISM_ARTIFACT_DIR) keys every \
-             artifact by its inputs and invalidates automatically; delete \
-             the store directory if you really want a cold run"
-        );
         let faults = FaultPlan::from_env();
         let budget = match std::env::var("PRISM_MAX_NODES") {
             Ok(v) => ExecBudget::new(
@@ -392,10 +368,6 @@ impl Session {
             budget,
             guard: DivergenceGuard::from_env(),
             streaming: std::env::var(STREAM_ENV)
-                .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
-            composition: !std::env::var(NO_COMPOSE_ENV)
-                .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
-            timing_cache: !std::env::var(NO_TIMING_CACHE_ENV)
                 .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
             workloads: Mutex::new(HashMap::new()),
             tables: Mutex::new(HashMap::new()),
@@ -484,28 +456,6 @@ impl Session {
     #[must_use]
     pub fn with_streaming(mut self, streaming: bool) -> Self {
         self.streaming = streaming;
-        self
-    }
-
-    /// Enables (or disables) the trace-walk timing memo: with composition
-    /// on, each distinct (workload, core variant, assignment) triple walks
-    /// the trace once ([`run_exocore_timing`]) and every design point
-    /// sharing it only re-prices the result ([`price_exocore`]).
-    /// Byte-identical to the direct path. Overrides `PRISM_NO_COMPOSE`.
-    #[must_use]
-    pub fn with_composition(mut self, composition: bool) -> Self {
-        self.composition = composition;
-        self
-    }
-
-    /// Enables (or disables) the persistent timing-artifact cache: with it
-    /// on, each trace-walk timing summary is saved to the artifact store
-    /// keyed by its [µDG shape key](Session::shape_key) and loaded instead
-    /// of recomputed on warm runs. Byte-identical either way. Overrides
-    /// `PRISM_NO_TIMING_CACHE`.
-    #[must_use]
-    pub fn with_timing_cache(mut self, timing_cache: bool) -> Self {
-        self.timing_cache = timing_cache;
         self
     }
 
@@ -899,12 +849,11 @@ impl Session {
 
     /// The trace-walk timing for (workload, core variant, assignment),
     /// memoized for the session's lifetime under the [µDG shape
-    /// key](Session::shape_key) and — unless the timing cache is off —
-    /// persisted to the artifact store, so a warm run loads the summary
-    /// instead of walking the trace. A corrupt or stale stored timing
-    /// degrades to a recompute (the store validates on load, the decoder
-    /// is strict). Counts against the session's memo and walk stats and
-    /// the µDG stage wall-time.
+    /// key](Session::shape_key) and persisted to the artifact store, so a
+    /// warm run loads the summary instead of walking the trace. A corrupt
+    /// or stale stored timing degrades to a recompute (the store validates
+    /// on load, the decoder is strict). Counts against the session's memo
+    /// and walk stats and the µDG stage wall-time.
     fn exo_timing(
         &self,
         workload: &PreparedWorkload,
@@ -924,21 +873,19 @@ impl Session {
             return Arc::clone(t);
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        if self.timing_cache {
-            if let Some(timing) = self
-                .store
-                .load(&key)
-                .and_then(|payload| decode_exo_timing(&payload))
-            {
-                self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
-                self.walks_skipped.fetch_add(1, Ordering::Relaxed);
-                let timing = Arc::new(timing);
-                self.timings
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(key, Arc::clone(&timing));
-                return timing;
-            }
+        if let Some(timing) = self
+            .store
+            .load(&key)
+            .and_then(|payload| decode_exo_timing(&payload))
+        {
+            self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
+            self.walks_skipped.fetch_add(1, Ordering::Relaxed);
+            let timing = Arc::new(timing);
+            self.timings
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .insert(key, Arc::clone(&timing));
+            return timing;
         }
         let started = std::time::Instant::now();
         let timing = Arc::new(run_exocore_timing(
@@ -951,9 +898,7 @@ impl Session {
         self.udg_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.trace_walks.fetch_add(1, Ordering::Relaxed);
-        if self.timing_cache {
-            self.store.save(&key, encode_exo_timing(&timing));
-        }
+        self.store.save(&key, encode_exo_timing(&timing));
         self.timings
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -995,9 +940,10 @@ impl Session {
         if let Some(f) = &self.faults {
             f.maybe_panic(Stage::Evaluate, &point.label());
         }
-        // One fuel meter per design point: every combined-TDG run charges
-        // the µDG nodes it will place — also with composition on, where a
-        // memo hit skips the walk but the budget semantics must not change.
+        // One fuel meter per design point: every workload charges the µDG
+        // nodes its trace walk places — also when a memo hit or a stored
+        // timing skips the walk, so budget semantics do not depend on
+        // what is cached.
         let mut meter = self.budget.meter();
         let mut per_workload = Vec::with_capacity(data.len());
         for w in data {
@@ -1006,29 +952,14 @@ impl Session {
             meter
                 .charge((w.trace.len() as u64).saturating_mul(NODES_PER_INST))
                 .map_err(|e| PipelineError::budget(&w.name, &e))?;
-            let run = if self.composition {
-                for &kind in assignment.map.values() {
-                    assert!(
-                        point.bsas.contains(&kind),
-                        "assignment to absent accelerator {kind}"
-                    );
-                }
-                let timing = self.exo_timing(w, &point.core, &assignment);
-                price_exocore(&timing, &point.core, &point.bsas)
-            } else {
-                let started = std::time::Instant::now();
-                let run = run_exocore(
-                    &w.trace,
-                    &w.ir,
-                    &point.core,
-                    &w.plans,
-                    &assignment,
-                    &point.bsas,
+            for &kind in assignment.map.values() {
+                assert!(
+                    point.bsas.contains(&kind),
+                    "assignment to absent accelerator {kind}"
                 );
-                self.udg_nanos
-                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                run
-            };
+            }
+            let timing = self.exo_timing(w, &point.core, &assignment);
+            let run = price_exocore(&timing, &point.core, &point.bsas);
             per_workload.push(WorkloadMetrics::from_run(&run, &w.name));
         }
         Ok(DesignResult {
@@ -1139,36 +1070,34 @@ impl Session {
             let _ = catch_unwind(AssertUnwindSafe(|| self.oracle_table(&data[w], &cores[c])));
         });
 
-        // With composition on, prefill the trace-walk timing memo over the
-        // *distinct* (workload, core variant, assignment) triples of the
-        // missing points, so parallel point evaluation hits the memo
-        // instead of racing to redo identical walks. Errors are ignored
-        // here; they resurface (typed) when the point is evaluated.
-        if self.composition {
-            let mut seen = std::collections::HashSet::new();
-            let mut walks: Vec<(usize, CoreConfig, Assignment)> = Vec::new();
-            for &idx in missing {
-                let (c, s) = (idx / subsets.len(), idx % subsets.len());
-                if core_block[c].is_some() {
+        // Prefill the trace-walk timing memo over the *distinct*
+        // (workload, core variant, assignment) triples of the missing
+        // points, so parallel point evaluation hits the memo instead of
+        // racing to redo identical walks. Errors are ignored here; they
+        // resurface (typed) when the point is evaluated.
+        let mut seen = std::collections::HashSet::new();
+        let mut walks: Vec<(usize, CoreConfig, Assignment)> = Vec::new();
+        for &idx in missing {
+            let (c, s) = (idx / subsets.len(), idx % subsets.len());
+            if core_block[c].is_some() {
+                continue;
+            }
+            let point = DesignPoint::new(cores[c].clone(), subsets[s].clone());
+            for (wi, w) in data.iter().enumerate() {
+                let Ok(table) = self.oracle_table(w, &cores[c]) else {
                     continue;
-                }
-                let point = DesignPoint::new(cores[c].clone(), subsets[s].clone());
-                for (wi, w) in data.iter().enumerate() {
-                    let Ok(table) = self.oracle_table(w, &cores[c]) else {
-                        continue;
-                    };
-                    let assignment = oracle_pick(&table, &w.data, &point.bsas);
-                    if seen.insert(self.shape_key(w, &point.core, &assignment)) {
-                        walks.push((wi, point.core.clone(), assignment));
-                    }
+                };
+                let assignment = oracle_pick(&table, &w.data, &point.bsas);
+                if seen.insert(self.shape_key(w, &point.core, &assignment)) {
+                    walks.push((wi, point.core.clone(), assignment));
                 }
             }
-            parallel_map(&walks, self.jobs, |_, (wi, core, assignment)| {
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    self.exo_timing(&data[*wi], core, assignment)
-                }));
-            });
         }
+        parallel_map(&walks, self.jobs, |_, (wi, core, assignment)| {
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                self.exo_timing(&data[*wi], core, assignment)
+            }));
+        });
 
         // Evaluate every missing point; tables now come from the memo.
         parallel_map(missing, self.jobs, |_, &idx| {
@@ -1509,39 +1438,6 @@ impl Session {
             resumed: self.resumed.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Logs cache hit/miss counts to stderr.
-    pub fn log_stats(&self) {
-        let s = self.stats();
-        eprintln!(
-            "[prism-pipeline] artifact cache: {} hits, {} misses ({} discarded, \
-             {} I/O retries, {} I/O errors, {} recomputes); memo: {} hits, \
-             {} misses; walks: {} performed, {} skipped ({} shape-memo, \
-             {} artifacts); sim: {} insts at {:.0} insts/sec, peak chunk {} bytes; \
-             stage wall: sim {} ms, uDG {} ms, transforms {} ms, schedule \
-             {} ms; jobs={}",
-            s.artifacts.hits,
-            s.artifacts.misses,
-            s.artifacts.discarded,
-            s.artifacts.io_retries,
-            s.artifacts.io_errors,
-            s.artifacts.recomputes,
-            s.memo_hits,
-            s.memo_misses,
-            s.trace_walks,
-            s.walks_skipped,
-            s.shape_memo_hits,
-            s.timing_artifacts_loaded,
-            s.sim_insts,
-            s.insts_per_sec(),
-            s.peak_chunk_bytes,
-            s.sim_nanos / 1_000_000,
-            s.udg_nanos / 1_000_000,
-            s.transform_nanos / 1_000_000,
-            s.schedule_nanos / 1_000_000,
-            self.jobs,
-        );
     }
 }
 

@@ -24,7 +24,6 @@ fn clean_session() -> Session {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_timing_cache(true)
         .with_store_cap(None)
 }
 
@@ -197,8 +196,7 @@ fn deleting_the_store_forces_a_clean_recompute() {
         .explore_grid_cached(&workloads, &cores, &subsets)
         .expect("first run");
 
-    // The supported way to force a cold run (PRISM_REFRESH was removed):
-    // delete the store directory.
+    // The supported way to force a cold run: delete the store directory.
     std::fs::remove_dir_all(&dir).expect("remove store");
     let b = clean_session().with_store_dir(&dir);
     let second = b

@@ -2,9 +2,12 @@
 //! memoization (in-process, cross-variant) and persistent timing
 //! artifacts (cross-process, via the content-addressed store) must be
 //! pure caches — every sweep they accelerate must be **byte-identical**
-//! to the cold composed run and to the `PRISM_NO_COMPOSE` direct run,
-//! and a corrupt timing artifact must degrade to recompute, never to an
-//! error or a changed result.
+//! to the cold run and to the direct oracle
+//! (`prism_exocore::evaluate_point`, see `common`), and a corrupt timing
+//! artifact must degrade to recompute, never to an error or a changed
+//! result.
+
+mod common;
 
 use prism_pipeline::{FaultPlan, Session, SweepReport};
 use prism_sim::TracerConfig;
@@ -22,7 +25,7 @@ fn quick_tracer() -> TracerConfig {
 /// A session insulated from ambient env knobs, writing artifacts under
 /// the given per-test store directory (shared across sessions of one
 /// test to model warm restarts; pass a fresh tag for a cold store).
-fn session_at(dir: &std::path::Path, composition: bool) -> Session {
+fn session_at(dir: &std::path::Path) -> Session {
     Session::new()
         .with_tracer(quick_tracer())
         .with_jobs(2)
@@ -30,8 +33,6 @@ fn session_at(dir: &std::path::Path, composition: bool) -> Session {
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
         .with_streaming(false)
-        .with_composition(composition)
-        .with_timing_cache(true)
         .with_store_cap(None)
         .with_store_dir(dir)
 }
@@ -76,21 +77,19 @@ fn warm_store_sweep_is_byte_identical_and_walk_free() {
     let subsets = small_subsets();
 
     let warm_dir = fresh_dir("warm");
-    let cold = session_at(&warm_dir, true).evaluate_designs(&workloads, &cores, &subsets);
+    let cold = session_at(&warm_dir).evaluate_designs(&workloads, &cores, &subsets);
     assert!(cold.quarantined.is_empty(), "healthy sweep expected");
 
     // A fresh session over the same store models a warm process restart:
     // byte-identical output, zero trace walks.
-    let warm_session = session_at(&warm_dir, true);
+    let warm_session = session_at(&warm_dir);
     let warm = warm_session.evaluate_designs(&workloads, &cores, &subsets);
     let stats = warm_session.stats();
     assert_eq!(fingerprint(&cold), fingerprint(&warm));
     assert_eq!(stats.trace_walks, 0, "warm run must not walk: {stats:?}");
 
-    // And the cold direct (PRISM_NO_COMPOSE) run agrees byte-for-byte.
-    let direct =
-        session_at(&fresh_dir("warm-direct"), false).evaluate_designs(&workloads, &cores, &subsets);
-    assert_eq!(fingerprint(&cold), fingerprint(&direct));
+    // And the direct oracle agrees byte-for-byte.
+    common::assert_matches_direct(&cold, &workloads, &cores, &quick_tracer());
 }
 
 #[test]
@@ -100,16 +99,16 @@ fn shape_sharing_core_reuses_walks_in_process() {
 
     // Walk count for IO2 alone, with the store disabled as a source
     // (cold dir) so every walk is really performed.
-    let solo_session = session_at(&fresh_dir("solo"), true);
+    let solo_session = session_at(&fresh_dir("solo"));
     let _ = solo_session.evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
     let solo_walks = solo_session.stats().trace_walks;
     assert!(solo_walks > 0, "cold run must walk");
 
     // IO2 plus its renamed twin in one session: the twin's timing comes
     // from the shape-keyed memo, so the walk count must not grow.
-    let pair_session = session_at(&fresh_dir("pair"), true);
-    let pair =
-        pair_session.evaluate_designs(&workloads, &[CoreConfig::io2(), io2_twin()], &subsets);
+    let pair_session = session_at(&fresh_dir("pair"));
+    let cores = [CoreConfig::io2(), io2_twin()];
+    let pair = pair_session.evaluate_designs(&workloads, &cores, &subsets);
     let stats = pair_session.stats();
     assert_eq!(
         stats.trace_walks, solo_walks,
@@ -117,21 +116,10 @@ fn shape_sharing_core_reuses_walks_in_process() {
     );
     assert!(stats.shape_memo_hits > 0, "memo must be hit: {stats:?}");
 
-    // The twin's results are byte-identical to evaluating it cold.
-    let twin_in_pair: Vec<String> = pair
-        .results
-        .iter()
-        .filter(|r| r.label.contains("IO2-twin"))
-        .map(|r| format!("{r:?}"))
-        .collect();
-    let twin_cold = session_at(&fresh_dir("twin-cold"), false).evaluate_designs(
-        &workloads,
-        &[io2_twin()],
-        &subsets,
-    );
-    let twin_ref: Vec<String> = twin_cold.results.iter().map(|r| format!("{r:?}")).collect();
-    assert!(!twin_in_pair.is_empty());
-    assert_eq!(twin_in_pair, twin_ref);
+    // Both cores' results — the twin's priced from IO2's walks — are
+    // byte-identical to the direct oracle on each core.
+    assert!(pair.results.iter().any(|r| r.core == "IO2-twin"));
+    common::assert_matches_direct(&pair, &workloads, &cores, &quick_tracer());
 }
 
 #[test]
@@ -141,12 +129,12 @@ fn timing_artifacts_warm_a_fresh_process_across_core_variants() {
     let dir = fresh_dir("across");
 
     // Cold run settles IO2's timing artifacts into the store.
-    let _ = session_at(&dir, true).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
+    let _ = session_at(&dir).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
 
     // A fresh session evaluates only the renamed twin: its design-point
     // results are not in the store (the name differs), but its timing
     // shape is — so it prices loaded summaries instead of walking.
-    let warm_session = session_at(&dir, true);
+    let warm_session = session_at(&dir);
     let warm = warm_session.evaluate_designs(&workloads, &[io2_twin()], &subsets);
     let stats = warm_session.stats();
     assert_eq!(stats.trace_walks, 0, "twin must not walk: {stats:?}");
@@ -155,12 +143,7 @@ fn timing_artifacts_warm_a_fresh_process_across_core_variants() {
         "timing artifacts must load: {stats:?}"
     );
 
-    let reference = session_at(&fresh_dir("across-ref"), false).evaluate_designs(
-        &workloads,
-        &[io2_twin()],
-        &subsets,
-    );
-    assert_eq!(fingerprint(&warm), fingerprint(&reference));
+    common::assert_matches_direct(&warm, &workloads, &[io2_twin()], &quick_tracer());
 }
 
 #[test]
@@ -169,7 +152,7 @@ fn corrupt_timing_artifacts_degrade_to_recompute() {
     let subsets = small_subsets();
     let dir = fresh_dir("corrupt");
 
-    let _ = session_at(&dir, true).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
+    let _ = session_at(&dir).evaluate_designs(&workloads, &[CoreConfig::io2()], &subsets);
 
     // Corrupt every stored artifact in place (timing summaries included).
     let mut corrupted = 0;
@@ -184,60 +167,30 @@ fn corrupt_timing_artifacts_degrade_to_recompute() {
 
     // The warm twin run now finds only garbage: it must silently fall
     // back to walking and still produce byte-identical results.
-    let warm_session = session_at(&dir, true);
+    let warm_session = session_at(&dir);
     let warm = warm_session.evaluate_designs(&workloads, &[io2_twin()], &subsets);
     let stats = warm_session.stats();
     assert!(warm.quarantined.is_empty(), "corruption must not error");
     assert!(stats.trace_walks > 0, "must recompute: {stats:?}");
     assert_eq!(stats.timing_artifacts_loaded, 0, "{stats:?}");
 
-    let reference = session_at(&fresh_dir("corrupt-ref"), false).evaluate_designs(
-        &workloads,
-        &[io2_twin()],
-        &subsets,
-    );
-    assert_eq!(fingerprint(&warm), fingerprint(&reference));
+    common::assert_matches_direct(&warm, &workloads, &[io2_twin()], &quick_tracer());
 }
 
 #[test]
-fn timing_cache_opt_out_is_byte_identical() {
-    // As if via PRISM_NO_TIMING_CACHE=1: the layer off entirely.
-    let workloads = registry();
-    let subsets = small_subsets();
-    let cores = vec![CoreConfig::io2(), io2_twin()];
-
-    let off_session = session_at(&fresh_dir("optout"), true).with_timing_cache(false);
-    let off = off_session.evaluate_designs(&workloads, &cores, &subsets);
-    let stats = off_session.stats();
-    assert_eq!(stats.timing_artifacts_loaded, 0, "{stats:?}");
-
-    let on =
-        session_at(&fresh_dir("optout-on"), true).evaluate_designs(&workloads, &cores, &subsets);
-    assert_eq!(fingerprint(&off), fingerprint(&on));
-}
-
-#[test]
-fn warm_streamed_faulted_sweep_is_byte_identical_composed_vs_direct() {
+fn streamed_faulted_sweep_matches_direct_oracle() {
     // As if via PRISM_STREAM=1 + site-seeded PRISM_FAULTS: injected
     // store I/O failures and artifact corruption hit the timing cache
     // too, and must only ever degrade it to recompute.
-    let plan = || {
-        std::sync::Arc::new(
-            FaultPlan::parse("store-io:0.05,artifact-corrupt:0.10@seed=11").expect("valid spec"),
-        )
-    };
+    let plan = FaultPlan::parse("store-io:0.05,artifact-corrupt:0.10@seed=11").expect("valid spec");
     let workloads = registry();
     let cores = vec![CoreConfig::io2(), io2_twin()];
     let subsets = small_subsets();
 
-    let composed = session_at(&fresh_dir("faults"), true)
+    let report = session_at(&fresh_dir("faults"))
         .with_streaming(true)
-        .with_faults(Some(plan()))
+        .with_faults(Some(std::sync::Arc::new(plan)))
         .evaluate_designs(&workloads, &cores, &subsets);
-    let direct = session_at(&fresh_dir("faults-direct"), false)
-        .with_streaming(true)
-        .with_faults(Some(plan()))
-        .evaluate_designs(&workloads, &cores, &subsets);
-    assert!(composed.quarantined.is_empty(), "these faults only degrade");
-    assert_eq!(fingerprint(&composed), fingerprint(&direct));
+    assert!(report.quarantined.is_empty(), "these faults only degrade");
+    common::assert_matches_direct(&report, &workloads, &cores, &quick_tracer());
 }

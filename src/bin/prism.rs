@@ -24,11 +24,6 @@
 //!                                     (quarantines corrupt artifacts, GCs orphan
 //!                                     tmp files and stale journals; exit 1 on
 //!                                     corruption)
-//! prism bench [options]               perf microbench suite (BENCH_<rev>.json)
-//!     --quick                         microbenches + MICRO-registry explore only
-//!     --iters N                       iterations per microbench (default 10)
-//!     --out PATH                      report path (default BENCH_<rev>.json)
-//!     --compare PATH                  fail (exit 1) on >40% regression vs PATH
 //!
 //! Global options: --jobs N            worker threads (default: PRISM_JOBS
 //!                                     or hardware parallelism)
@@ -68,11 +63,10 @@ fn main() {
         Some("explore") => cmd_explore(&session, stats, resume),
         Some("grid") => cmd_grid(&args[1..], stats, resume),
         Some("worker") => cmd_worker(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("fsck") => cmd_fsck(&args[1..]),
         _ => {
             eprintln!(
-                "usage: prism <list|run|compare|explore|grid|worker|bench|fsck> [args]   (see --help in the source header)"
+                "usage: prism <list|run|compare|explore|grid|worker|fsck> [args]   (see --help in the source header)"
             );
             2
         }
@@ -115,7 +109,6 @@ fn cmd_explore(session: &Session, stats: bool, resume: bool) -> i32 {
     // finished with `prism explore --resume`.
     let report = session.full_design_space_resumable(resume);
     let code = finish_sweep(&report);
-    session.log_stats();
     if stats {
         eprint!("{}", session.stats().render());
     }
@@ -152,91 +145,6 @@ fn cmd_fsck(args: &[String]) -> i32 {
             1
         }
     }
-}
-
-fn cmd_bench(args: &[String]) -> i32 {
-    use prism::bench::perf::{regressions, run, PerfOptions, PerfReport};
-
-    let mut opts = PerfOptions::default();
-    let mut out: Option<String> = None;
-    let mut compare: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => opts.quick = true,
-            "--iters" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(v) => opts.iters = v.max(1),
-                None => {
-                    eprintln!("error: --iters needs a number");
-                    return 2;
-                }
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(v.clone()),
-                None => {
-                    eprintln!("error: --out needs a path");
-                    return 2;
-                }
-            },
-            "--compare" => match it.next() {
-                Some(v) => compare = Some(v.clone()),
-                None => {
-                    eprintln!("error: --compare needs a path");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!(
-                    "error: unknown flag {other} (usage: prism bench [--quick] [--iters N] [--out PATH] [--compare PATH])"
-                );
-                return 2;
-            }
-        }
-    }
-
-    let report = run(&opts);
-    println!("{:<32} {:>16}", "metric", "value");
-    println!(
-        "{:<32} {:>16.1}",
-        "calibration_mops", report.calibration_mops
-    );
-    for (name, value) in &report.metrics {
-        println!("{name:<32} {value:>16.3}");
-    }
-
-    let path = out.unwrap_or_else(|| format!("BENCH_{}.json", report.rev));
-    if let Err(e) = std::fs::write(&path, report.to_json()) {
-        eprintln!("error: cannot write {path}: {e}");
-        return 1;
-    }
-    eprintln!("[prism-bench] wrote {path}");
-
-    if let Some(baseline_path) = compare {
-        let Ok(text) = std::fs::read_to_string(&baseline_path) else {
-            eprintln!("error: cannot read baseline {baseline_path}");
-            return 1;
-        };
-        let Some(baseline) = PerfReport::from_json(&text) else {
-            eprintln!("error: baseline {baseline_path} is not a perf report");
-            return 1;
-        };
-        // 40 %: wide enough that best-of sampling plus calibration
-        // absorbs shared-runner noise, far below the 2×+ a real
-        // composition/hot-loop regression would show.
-        let regs = regressions(&baseline, &report, 0.40);
-        if regs.is_empty() {
-            eprintln!(
-                "[prism-bench] no regressions vs {baseline_path} (rev {})",
-                baseline.rev
-            );
-        } else {
-            for r in &regs {
-                eprintln!("[prism-bench] REGRESSION {r}");
-            }
-            return 1;
-        }
-    }
-    0
 }
 
 fn cmd_grid(args: &[String], stats: bool, resume: bool) -> i32 {

@@ -20,8 +20,11 @@
 //!   ([`grid::run_grid`]),
 //! * [`net`] — the multi-host sweep fabric: shard links, the TCP worker
 //!   daemon handshake, and network fault injection ([`net::ShardLink`]),
-//! * [`bench`] — the figure/table harness and the perf microbench suite
-//!   behind `prism bench` ([`bench::perf`]).
+//! * [`bench`] — the figure/table harness, one binary per table and
+//!   figure of the paper.
+//!
+//! Performance is measured by the separate `benchmark/` package
+//! (`BENCHMARK.json`); see `benchmark/README.md`.
 //!
 //! See the repository's `README.md` for a tour and `DESIGN.md` for the
 //! system inventory.

@@ -334,15 +334,12 @@ fn main() {
         "PRISM_WORKERS",
         "PRISM_CRASH",
         "PRISM_SCALE",
-        "PRISM_NO_COMPOSE",
-        "PRISM_NO_TIMING_CACHE",
         "PRISM_STORE_CAP",
         "PRISM_DIVERGENCE",
         "PRISM_MAX_NODES",
         "PRISM_CHUNK",
         "PRISM_GRID_TIMEOUT_MS",
         "PRISM_NO_FSYNC",
-        "PRISM_REFRESH",
         "PRISM_NET_FAULTS",
         "PRISM_NET_TOKEN",
         "PRISM_HOSTS",
