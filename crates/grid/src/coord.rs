@@ -33,7 +33,7 @@ use prism_net::{
     DeadLink, HostSpec, LinkEvent, NetFaultPlan, ShardLink, StdioLink, TcpLink, NET_TOKEN_ENV,
 };
 use prism_pipeline::{
-    crash_point, sweep_key, ArtifactStore, ContentHash, PipelineError, Session, Stage,
+    crash_point, sweep_key, ArtifactStore, ContentHash, FaultPlan, PipelineError, Session, Stage,
     SweepJournal, SweepReport, GC_SAFETY_WINDOW, SITE_GRID_FRAME,
 };
 use prism_sim::TracerConfig;
@@ -148,7 +148,7 @@ impl GridConfig {
             window: 2,
             env: Vec::new(),
             env_remove: Vec::new(),
-            net_faults: NetFaultPlan::from_env(),
+            net_faults: NetFaultPlan(FaultPlan::from_env()),
             resume: false,
         }
     }

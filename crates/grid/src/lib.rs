@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod coord;
-pub mod fault;
 pub mod proto;
 pub mod worker;
 
@@ -47,10 +46,10 @@ pub use coord::{
     parse_grid_timeout, run_grid, GridConfig, GridError, GridOutcome, GridStats, HostStats,
     GRID_TIMEOUT_ENV,
 };
-pub use fault::{GridFaultKind, GridFaultPlan, GRID_FAULTS_ENV};
 pub use proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
 pub use worker::{
-    run_worker, run_worker_if_env, run_worker_io, serve_tcp, WorkerOptions, SHARD_ENV, WORKER_ENV,
+    run_worker, run_worker_if_env, run_worker_io, serve_tcp, GridFaultPlan, WorkerOptions,
+    SHARD_ENV, WORKER_ENV,
 };
 
 /// Environment variable selecting the grid worker count for front-ends
@@ -59,8 +58,32 @@ pub const WORKERS_ENV: &str = "PRISM_WORKERS";
 
 /// The worker count requested via `PRISM_WORKERS`, when it asks for an
 /// actual fleet (a value of 0 or 1 means "stay single-process").
+///
+/// # Panics
+///
+/// Panics when the variable is set but not a number — like the other env
+/// knobs, a typo must not silently run single-process.
 #[must_use]
 pub fn workers_from_env() -> Option<usize> {
-    let n: usize = std::env::var(WORKERS_ENV).ok()?.trim().parse().ok()?;
+    fleet_size(&std::env::var(WORKERS_ENV).ok()?)
+}
+
+fn fleet_size(v: &str) -> Option<usize> {
+    let n: usize = v
+        .trim()
+        .parse()
+        .unwrap_or_else(|e| panic!("bad {WORKERS_ENV} value `{v}`: {e}"));
     (n > 1).then_some(n)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    #[should_panic(expected = "bad PRISM_WORKERS value `four`")]
+    fn typoed_workers_value_panics() {
+        assert_eq!(super::fleet_size("0"), None);
+        assert_eq!(super::fleet_size("1"), None);
+        assert_eq!(super::fleet_size(" 4 "), Some(4));
+        let _ = super::fleet_size("four");
+    }
 }

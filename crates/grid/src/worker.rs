@@ -21,23 +21,24 @@
 //!   result-or-quarantine per unit.
 //!
 //! A fourth **heartbeat** thread emits liveness beacons every
-//! [`HEARTBEAT_INTERVAL`](crate::proto::HEARTBEAT_INTERVAL).
+//! [`HEARTBEAT_INTERVAL`].
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use prism_exocore::DesignPoint;
-use prism_pipeline::{ArtifactStore, ContentHash, PipelineError, Session, Stage};
+use prism_pipeline::{
+    ArtifactStore, ContentHash, FaultPlan, GridFaultKind, PipelineError, Session, Site, Stage,
+};
 use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
 use prism_udg::CoreConfig;
 use prism_workloads::Workload;
 
-use crate::fault::{GridFaultKind, GridFaultPlan};
 use crate::proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
 
 /// Set (to any value) in a worker process's environment.
@@ -56,6 +57,29 @@ pub fn run_worker_if_env() {
     }
 }
 
+/// The grid layer's view of a [`FaultPlan`]: it reads only the
+/// `grid.<kind>.<shard>@N` entries, where `N` counts the units the
+/// worker has started (1-based). Other entries of the same plan are
+/// left to their own layers: the worker's session reads `store.*`,
+/// `trace.truncate` and `<stage>.panic` from `PRISM_FAULTS`, and
+/// [`prism_pipeline::crash_point`] reads `crash.*` from it.
+#[derive(Debug, Clone, Default)]
+pub struct GridFaultPlan(pub Option<Arc<FaultPlan>>);
+
+impl GridFaultPlan {
+    /// The fault (if any) that fires when `shard` starts its
+    /// `started`-th unit.
+    fn action(&self, shard: usize, started: u64) -> Option<GridFaultKind> {
+        self.0
+            .as_ref()?
+            .armed_for(started, shard)
+            .find_map(|site| match site {
+                Site::Grid(kind, _) => Some(kind),
+                _ => None,
+            })
+    }
+}
+
 /// How [`run_worker_io`] binds the protocol loop to its surroundings.
 #[derive(Debug, Default)]
 pub struct WorkerOptions {
@@ -70,7 +94,7 @@ pub struct WorkerOptions {
     /// LRU byte cap on the worker's store (`prism worker --store-cap` /
     /// `PRISM_STORE_CAP`); `None` leaves growth unbounded.
     pub store_cap: Option<u64>,
-    /// Injected fault plan (`PRISM_GRID_FAULTS`).
+    /// Injected worker faults (`PRISM_FAULTS=grid.…`).
     pub faults: GridFaultPlan,
 }
 
@@ -131,7 +155,7 @@ pub fn run_worker() -> i32 {
         expected_shard: Some(shard),
         store_dir: None,
         store_cap: prism_pipeline::store_cap_from_env(),
-        faults: GridFaultPlan::from_env().unwrap_or_default(),
+        faults: GridFaultPlan(FaultPlan::from_env()),
     };
     let stdin = std::io::stdin();
     run_worker_io(stdin.lock(), std::io::stdout(), &opts)
@@ -155,7 +179,7 @@ pub fn serve_tcp(
             expected_shard: Some(shard),
             store_dir: Some(store_dir.clone()),
             store_cap,
-            faults: GridFaultPlan::from_env().unwrap_or_default(),
+            faults: GridFaultPlan(FaultPlan::from_env()),
         };
         let reader = match stream.try_clone() {
             Ok(clone) => std::io::BufReader::new(clone),
@@ -180,7 +204,7 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
     opts: &WorkerOptions,
 ) -> i32 {
     let out = Mutex::new(output);
-    let mut lines = input.lines();
+    let mut lines = prism_net::read_frames(input);
 
     // Handshake: the first line must be a compatible Hello.
     let first = match lines.next() {
@@ -380,24 +404,20 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     queue_cv.notify_all();
                     return;
                 };
+                started += 1;
                 match opts.faults.action(shard, started) {
                     Some(GridFaultKind::Die) => {
-                        eprintln!(
-                            "[prism-grid] shard {shard}: injected death before unit {started}"
-                        );
+                        eprintln!("[prism-grid] shard {shard}: injected death at unit {started}");
                         std::process::exit(101);
                     }
                     Some(GridFaultKind::Hang) => {
-                        eprintln!(
-                            "[prism-grid] shard {shard}: injected hang before unit {started}"
-                        );
+                        eprintln!("[prism-grid] shard {shard}: injected hang at unit {started}");
                         hang.store(true, Ordering::Relaxed);
                         loop {
                             std::thread::sleep(std::time::Duration::from_secs(3600));
                         }
                     }
                     Some(GridFaultKind::Quarantine) => {
-                        started += 1;
                         let label = unit_label(&unit);
                         send(
                             &out,
@@ -416,17 +436,23 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     }
                     None => {}
                 }
-                started += 1;
                 evaluate_unit(&session, &workloads, &unit, &mut reported_workloads, &out);
                 inflight.fetch_sub(1, Ordering::Relaxed);
             }
         });
 
         // Reader (this thread): feed the queue until shutdown, EOF, or an
-        // I/O error (either way the coordinator is gone). Artifact frames
-        // are served inline — store export/import is cheap I/O and must
-        // not queue behind a long evaluation.
-        'reader: while let Some(Ok(line)) = lines.next() {
+        // I/O error such as an over-cap frame (either way the session is
+        // over). Artifact frames are served inline — store export/import
+        // is cheap I/O and must not queue behind a long evaluation.
+        'reader: for line in lines {
+            let line = match line {
+                Ok(line) => line,
+                Err(e) => {
+                    eprintln!("[prism-grid] shard {shard}: ending session: {e}");
+                    break;
+                }
+            };
             match ToWorker::decode(&line) {
                 Ok(ToWorker::Assign { id, core, bsas }) => {
                     inflight.fetch_add(1, Ordering::Relaxed);
@@ -586,5 +612,77 @@ fn evaluate_unit<W: Write>(
                 ),
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn grid_faults_fire_only_on_their_shard_and_unit() {
+        let plan = FaultPlan::parse("grid.die.0@2,net.drop.0@2").unwrap();
+        let faults = GridFaultPlan(Some(Arc::new(plan)));
+        assert_eq!(faults.action(0, 2), Some(GridFaultKind::Die));
+        assert_eq!(faults.action(3, 2), None);
+        assert_eq!(faults.action(0, 1), None);
+        assert_eq!(faults.action(0, 3), None);
+        assert_eq!(GridFaultPlan::default().action(0, 2), None);
+    }
+
+    /// One session against a worker daemon: handshake and Hello, then
+    /// `rest` verbatim. Returns every frame the daemon sends before it
+    /// closes the connection.
+    fn daemon_session(addr: &str, rest: &[u8]) -> Vec<FromWorker> {
+        let stream = TcpStream::connect(addr).unwrap();
+        prism_net::client_handshake(&stream, 0, "tok").unwrap();
+        let hello = ToWorker::Hello {
+            proto: PROTO_VERSION,
+            shard: 0,
+            workloads: Vec::new(),
+            max_insts: 1_000,
+            artifact_dir: String::new(),
+        };
+        let mut w = stream.try_clone().unwrap();
+        writeln!(w, "{}", hello.encode()).unwrap();
+        w.write_all(rest).unwrap();
+        // No shutdown of our write side: only the daemon can end this.
+        // Heartbeats keep arriving while it lives, so the deadline is
+        // checked at least every heartbeat interval.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        BufReader::new(stream)
+            .lines()
+            .map_while(Result::ok)
+            .take_while(|_| Instant::now() < deadline)
+            .map(|line| FromWorker::decode(&line).unwrap())
+            .collect()
+    }
+
+    fn ended_cleanly(frames: &[FromWorker]) -> bool {
+        matches!(frames.first(), Some(FromWorker::HelloAck { .. }))
+            && matches!(frames.last(), Some(FromWorker::Bye { .. }))
+    }
+
+    #[test]
+    fn daemon_drops_an_over_cap_frame_then_serves_a_new_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let store = std::env::temp_dir().join(format!("prism-grid-overcap-{}", std::process::id()));
+        let daemon_store = store.clone();
+        std::thread::spawn(move || serve_tcp(listener, "tok".into(), daemon_store, None));
+
+        // One byte over the cap and no newline: the daemon stops reading
+        // at the cap and ends this session, not the process.
+        let flood = vec![b'x'; prism_net::MAX_FRAME_BYTES + 1];
+        let frames = daemon_session(&addr, &flood);
+        assert!(ended_cleanly(&frames), "{frames:?}");
+
+        let shutdown = format!("{}\n", ToWorker::Shutdown.encode());
+        let frames = daemon_session(&addr, shutdown.as_bytes());
+        assert!(ended_cleanly(&frames), "{frames:?}");
+        let _ = std::fs::remove_dir_all(&store);
     }
 }

@@ -19,8 +19,11 @@
 //!   any grid-protocol frame crosses the wire.
 //! - [`HostSpec`] / [`parse_hosts`] — typed `host:port` list parsing for
 //!   `--hosts` / [`HOSTS_ENV`].
-//! - [`NetFaultPlan`] — deterministic network fault injection
-//!   ([`NET_FAULTS_ENV`]), in the style of `PRISM_GRID_FAULTS`.
+//! - [`NetFaultPlan`] — the link's view of the one fault plan
+//!   (`PRISM_FAULTS=net.<drop|delay|disconnect>.<shard>@N`, see
+//!   [`prism_pipeline::fault`]).
+//! - [`read_frames`] — the bounded line reader every inbound side uses
+//!   (frames over [`MAX_FRAME_BYTES`] end the session).
 //!
 //! Byte-framing contract: the grid protocol escapes all control
 //! characters inside JSON strings, so a frame never spans lines and a
@@ -28,15 +31,16 @@
 
 #![warn(missing_docs)]
 
-mod fault;
 mod handshake;
 mod host;
 mod link;
 
-pub use fault::{NetFaultKind, NetFaultPlan, NetFaultSpecError, NET_FAULTS_ENV};
 pub use handshake::{client_handshake, NET_HANDSHAKE_VERSION, NET_TOKEN_ENV};
 pub use host::{hosts_from_env, parse_hosts, HostSpec, HostSpecError, HOSTS_ENV};
-pub use link::{DeadLink, LinkEvent, ShardLink, StdioLink, TcpLink};
+pub use link::{
+    read_frames, DeadLink, FrameTooLong, LinkEvent, NetFaultPlan, ShardLink, StdioLink, TcpLink,
+    MAX_FRAME_BYTES,
+};
 
 use std::net::TcpListener;
 use std::sync::Arc;

@@ -9,7 +9,7 @@
 //! be recognized and ignored instead of killing a healthy replacement
 //! connection.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,8 +17,84 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::fault::{NetFaultKind, NetFaultPlan, DELAY_FAULT};
+use prism_pipeline::{FaultPlan, NetFaultKind, Site};
+
 use crate::handshake::client_handshake;
+
+/// Largest protocol frame (one line, newline excluded) any reader
+/// accepts. The largest frames are `artifact` frames carrying one
+/// design-point or timing artifact (tens of KiB on the full registry),
+/// so the cap leaves two orders of magnitude of headroom while keeping a
+/// peer that never sends a newline from growing a reader without bound.
+pub const MAX_FRAME_BYTES: usize = 4 << 20;
+
+/// An inbound frame longer than [`MAX_FRAME_BYTES`]: the inner error of
+/// the [`io::ErrorKind::InvalidData`] error [`read_frames`] yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTooLong;
+
+impl std::fmt::Display for FrameTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "inbound frame exceeds {MAX_FRAME_BYTES} bytes")
+    }
+}
+
+impl std::error::Error for FrameTooLong {}
+
+/// The frames of `reader`, like [`BufRead::lines`] but bounded: a frame
+/// longer than [`MAX_FRAME_BYTES`] yields a [`FrameTooLong`] error after
+/// buffering at most the cap, and the caller ends the session.
+pub fn read_frames<R: BufRead>(mut reader: R) -> impl Iterator<Item = io::Result<String>> {
+    std::iter::from_fn(move || {
+        let mut frame = Vec::new();
+        // One byte of room past the cap for the newline.
+        let limit = MAX_FRAME_BYTES as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut frame) {
+            Ok(0) => return None,
+            Ok(_) => {}
+            Err(e) => return Some(Err(e)),
+        }
+        if frame.last() == Some(&b'\n') {
+            frame.pop();
+            if frame.last() == Some(&b'\r') {
+                frame.pop();
+            }
+        } else if frame.len() > MAX_FRAME_BYTES {
+            return Some(Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                FrameTooLong,
+            )));
+        }
+        Some(String::from_utf8(frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)))
+    })
+}
+
+/// How long a `net.delay` fault holds a frame before delivering it —
+/// long enough to trip any realistic heartbeat timeout in tests.
+pub(crate) const DELAY_FAULT: Duration = Duration::from_millis(750);
+
+/// The net layer's view of a [`FaultPlan`]: it reads only the
+/// `net.<kind>.<shard>@N` entries, where `N` counts a link's inbound
+/// frames (1-based, across reconnects, so each entry fires exactly
+/// once). Other entries of the same plan are left to their own layers
+/// (`crash.*` to [`prism_pipeline::crash_point`], which reads
+/// `PRISM_FAULTS`; `grid.*` to the worker's `GridFaultPlan`).
+#[derive(Debug, Clone, Default)]
+pub struct NetFaultPlan(pub Option<Arc<FaultPlan>>);
+
+impl NetFaultPlan {
+    /// The fault (if any) that fires on `shard`'s `frame`-th inbound
+    /// frame.
+    fn action(&self, shard: usize, frame: u64) -> Option<NetFaultKind> {
+        self.0
+            .as_ref()?
+            .armed_for(frame, shard)
+            .find_map(|site| match site {
+                Site::Net(kind, _) => Some(kind),
+                _ => None,
+            })
+    }
+}
 
 /// An inbound event from one shard link, tagged with the link
 /// generation that produced it (always 0 for non-TCP links).
@@ -111,7 +187,7 @@ impl StdioLink {
             .ok_or_else(|| io::Error::other("child stdout not captured"))?;
         let tx = tx.clone();
         let reader = std::thread::spawn(move || {
-            for line in BufReader::new(stdout).lines() {
+            for line in read_frames(BufReader::new(stdout)) {
                 let Ok(line) = line else { break };
                 if tx.send((shard, LinkEvent::Line(0, line))).is_err() {
                     break;
@@ -276,9 +352,9 @@ fn read_loop(
         let _ = tx.send((shard, LinkEvent::Eof(gen)));
         return;
     };
-    for line in BufReader::new(clone).lines() {
+    for line in read_frames(BufReader::new(clone)) {
         let Ok(line) = line else { break };
-        let frame = frames.fetch_add(1, Ordering::SeqCst);
+        let frame = frames.fetch_add(1, Ordering::SeqCst) + 1;
         match faults.action(shard, frame) {
             Some(NetFaultKind::Drop) => {
                 eprintln!(
@@ -466,6 +542,10 @@ mod tests {
         (addr, handle)
     }
 
+    fn net_faults(spec: &str) -> NetFaultPlan {
+        NetFaultPlan(Some(Arc::new(FaultPlan::parse(spec).unwrap())))
+    }
+
     fn next_line(rx: &mpsc::Receiver<(usize, LinkEvent)>) -> (usize, LinkEvent) {
         rx.recv_timeout(Duration::from_secs(5)).unwrap()
     }
@@ -516,15 +596,9 @@ mod tests {
     fn disconnect_fault_cuts_after_the_nth_frame() {
         let (addr, _daemon) = echo_daemon("");
         let (tx, rx) = mpsc::channel();
-        let mut link = TcpLink::connect(
-            &addr,
-            0,
-            "",
-            NetFaultPlan::parse("disconnect:0@1").unwrap(),
-            tx,
-        )
-        .unwrap();
-        // Frame 0: greeting. Frame 1: first echo — delivered, then cut.
+        let mut link =
+            TcpLink::connect(&addr, 0, "", net_faults("net.disconnect.0@2"), tx).unwrap();
+        // Frame 1: greeting. Frame 2: first echo — delivered, then cut.
         assert_eq!(
             next_line(&rx).1,
             LinkEvent::Line(1, "{\"type\":\"greeting\"}".into())
@@ -542,12 +616,72 @@ mod tests {
     fn drop_fault_discards_the_frame() {
         let (addr, _daemon) = echo_daemon("");
         let (tx, rx) = mpsc::channel();
-        let mut link =
-            TcpLink::connect(&addr, 0, "", NetFaultPlan::parse("drop:0@0").unwrap(), tx).unwrap();
-        // Frame 0 (the greeting) is dropped and the link cut: the only
+        let mut link = TcpLink::connect(&addr, 0, "", net_faults("net.drop.0@1"), tx).unwrap();
+        // Frame 1 (the greeting) is dropped and the link cut: the only
         // event ever seen is Eof.
         assert_eq!(next_line(&rx).1, LinkEvent::Eof(1));
         link.kill();
+    }
+
+    #[test]
+    fn faults_armed_on_another_shard_leave_the_link_alone() {
+        let (addr, daemon) = echo_daemon("");
+        let (tx, rx) = mpsc::channel();
+        let faults = net_faults("net.drop.1@1,net.disconnect.1@2");
+        let mut link = TcpLink::connect(&addr, 0, "", faults, tx).unwrap();
+        assert_eq!(
+            next_line(&rx).1,
+            LinkEvent::Line(1, "{\"type\":\"greeting\"}".into())
+        );
+        link.send_line("a").unwrap();
+        assert_eq!(next_line(&rx).1, LinkEvent::Line(1, "a".into()));
+        link.send_line("quit").unwrap();
+        assert_eq!(next_line(&rx).1, LinkEvent::Eof(1));
+        link.reap(Instant::now() + Duration::from_secs(2));
+        daemon.join().unwrap();
+    }
+
+    #[test]
+    fn delay_fault_delivers_the_frame_late_and_keeps_the_link() {
+        let (addr, daemon) = echo_daemon("");
+        let (tx, rx) = mpsc::channel();
+        let mut link = TcpLink::connect(&addr, 0, "", net_faults("net.delay.0@2"), tx).unwrap();
+        assert_eq!(
+            next_line(&rx).1,
+            LinkEvent::Line(1, "{\"type\":\"greeting\"}".into())
+        );
+        // Frame 2 (the first echo) is held back by the fault.
+        let sent = Instant::now();
+        link.send_line("late").unwrap();
+        assert_eq!(next_line(&rx).1, LinkEvent::Line(1, "late".into()));
+        assert!(sent.elapsed() >= DELAY_FAULT, "{:?}", sent.elapsed());
+        // The link stays up: same generation, later frames flow on time.
+        link.send_line("prompt").unwrap();
+        assert_eq!(next_line(&rx).1, LinkEvent::Line(1, "prompt".into()));
+        assert_eq!(link.generation(), 1);
+        link.send_line("quit").unwrap();
+        assert_eq!(next_line(&rx).1, LinkEvent::Eof(1));
+        link.reap(Instant::now() + Duration::from_secs(2));
+        daemon.join().unwrap();
+    }
+
+    #[test]
+    fn frames_over_the_cap_are_a_typed_error() {
+        let at_cap = "x".repeat(MAX_FRAME_BYTES);
+        let input = format!("a\r\n{at_cap}\n{at_cap}y\nnever read\n");
+        let mut frames = read_frames(input.as_bytes());
+        assert_eq!(frames.next().unwrap().unwrap(), "a");
+        assert_eq!(frames.next().unwrap().unwrap(), at_cap);
+        let err = frames.next().unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.get_ref().is_some_and(|e| e.is::<FrameTooLong>()),
+            "{err}"
+        );
+        // An unterminated last frame is still a frame; then the end.
+        let mut frames = read_frames("tail".as_bytes());
+        assert_eq!(frames.next().unwrap().unwrap(), "tail");
+        assert!(frames.next().is_none());
     }
 
     #[test]

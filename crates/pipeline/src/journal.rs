@@ -53,8 +53,8 @@ use prism_udg::CoreConfig;
 use crate::codec::{
     decode_design_result, decode_pipeline_error, encode_design_result, encode_pipeline_error,
 };
-use crate::crash::{crash_point, SITE_JOURNAL_APPEND};
 use crate::error::PipelineError;
+use crate::fault::{crash_point, SITE_JOURNAL_APPEND};
 use crate::hash::{ContentHash, Sha256};
 use crate::json::Json;
 use crate::key::KeyBuilder;

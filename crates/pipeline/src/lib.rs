@@ -30,8 +30,10 @@
 //! [`SweepReport::quarantined`] while every healthy point still produces
 //! a result. Store I/O is retried with bounded backoff and degrades to
 //! recompute. A seeded [`FaultPlan`] (from the `PRISM_FAULTS` environment
-//! variable) injects store I/O errors, artifact corruption, trace
-//! truncation, and stage panics deterministically for chaos testing.
+//! variable, one grammar over the site registry in [`fault`]) injects
+//! store I/O errors, artifact corruption, trace truncation, stage panics,
+//! process kills, and grid-worker and network-link faults
+//! deterministically for chaos testing.
 //!
 //! ## Crash consistency
 //!
@@ -39,14 +41,14 @@
 //! `PRISM_NO_FSYNC=1`), every sweep writes an append-only
 //! [`SweepJournal`] of settled units, and `--resume` replays it to skip
 //! completed work after a kill — producing byte-identical output. A
-//! deterministic kill harness ([`crash_point`] / `PRISM_CRASH=<site>@<n>`)
+//! deterministic kill harness ([`crash_point`] /
+//! `PRISM_FAULTS=crash.<site>@<n>`)
 //! proves the property at every kill site, and [`run_fsck`] checks and
 //! repairs a store offline.
 
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod crash;
 pub mod error;
 pub mod fault;
 pub mod fsck;
@@ -63,12 +65,12 @@ pub use codec::{
     decode_design_result, decode_exo_timing, decode_pipeline_error, decode_trace_chunk,
     encode_design_result, encode_exo_timing, encode_pipeline_error, encode_trace_chunk,
 };
-pub use crash::{
-    crash_point, CrashSpec, CRASH_ENV, CRASH_EXIT_CODE, SITE_GRID_FRAME, SITE_JOURNAL_APPEND,
-    SITE_STORE_PUT, SITE_UNIT_COMPLETE,
-};
 pub use error::{ErrorKind, PipelineError, Stage};
-pub use fault::{FaultPlan, FaultSpecError, FAULTS_ENV, INJECTED_PANIC_PREFIX};
+pub use fault::{
+    crash_point, FaultPlan, FaultSpecError, GridFaultKind, NetFaultKind, Site, CRASH_EXIT_CODE,
+    FAULTS_ENV, INJECTED_PANIC_PREFIX, SITE_GRID_FRAME, SITE_JOURNAL_APPEND, SITE_STORE_PUT,
+    SITE_UNIT_COMPLETE,
+};
 pub use fsck::{run_fsck, FsckReport, QUARANTINE_SUBDIR};
 pub use hash::ContentHash;
 pub use journal::{journal_path, sweep_key, JournalReplay, SweepJournal, JOURNAL_SUBDIR};

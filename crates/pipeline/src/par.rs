@@ -10,18 +10,28 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// Environment variable overriding the worker-thread count.
+const JOBS_ENV: &str = "PRISM_JOBS";
+
 /// Resolves the worker count: explicit override > `PRISM_JOBS` env var >
 /// available hardware parallelism.
+///
+/// # Panics
+///
+/// Panics when `PRISM_JOBS` is read and is not a number — like the other
+/// env knobs, a typo must not silently run at the default parallelism.
 #[must_use]
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     explicit
-        .or_else(|| {
-            std::env::var("PRISM_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
+        .or_else(|| std::env::var(JOBS_ENV).ok().map(|v| parse_jobs(&v)))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
         .max(1)
+}
+
+fn parse_jobs(v: &str) -> usize {
+    v.trim()
+        .parse()
+        .unwrap_or_else(|e| panic!("bad {JOBS_ENV} value `{v}`: {e}"))
 }
 
 /// Extracts a `--jobs N` (or `--jobs=N`) override from a command line.
@@ -132,5 +142,12 @@ mod tests {
         assert_eq!(jobs_from_args(&["--jobs"]), None);
         assert_eq!(jobs_from_args(&["--jobs", "zero?"]), None);
         assert_eq!(jobs_from_args(&["-j", "4"]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad PRISM_JOBS value `four`")]
+    fn typoed_jobs_value_panics() {
+        assert_eq!(parse_jobs(" 3 "), 3);
+        let _ = parse_jobs("four");
     }
 }

@@ -32,9 +32,8 @@ use crate::codec::{
     decode_design_result, decode_exo_timing, decode_trace_chunk, encode_design_result,
     encode_exo_timing, encode_trace_chunk,
 };
-use crate::crash::{crash_point, SITE_UNIT_COMPLETE};
 use crate::error::{PipelineError, Stage};
-use crate::fault::FaultPlan;
+use crate::fault::{crash_point, FaultPlan, Site, SITE_UNIT_COMPLETE};
 use crate::hash::{ContentHash, Sha256};
 use crate::journal::{sweep_key, JournalReplay, SweepJournal};
 use crate::key::KeyBuilder;
@@ -425,8 +424,26 @@ impl Session {
 
     /// Installs (or, with `None`, clears) a fault-injection plan, shared
     /// with the artifact store. Overrides `PRISM_FAULTS`.
+    ///
+    /// A session hooks only the `store.*`, `trace.truncate` and
+    /// `<stage>.panic` sites. `crash.*` sites are armed through
+    /// `PRISM_FAULTS` alone ([`crate::crash_point`]), and `grid.*` /
+    /// `net.*` sites through the grid's and net's plan views.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `faults` names any other site: the plan would inject
+    /// nothing there, and a chaos run must not look healthy by accident.
     #[must_use]
     pub fn with_faults(mut self, faults: Option<Arc<FaultPlan>>) -> Self {
+        if let Some(site) = faults.iter().flat_map(|p| p.sites()).find(|site| {
+            !matches!(
+                site,
+                Site::StoreIo | Site::StoreCorrupt | Site::TraceTruncate | Site::Panic(_)
+            )
+        }) {
+            panic!("Session::with_faults: no session hook for fault site {site:?}");
+        }
         self.store.set_faults(faults.clone());
         self.faults = faults;
         self
@@ -540,7 +557,7 @@ impl Session {
         let program = build();
         if let Some(f) = &self.faults {
             f.maybe_panic(Stage::Trace, name);
-            if f.truncate_trace(name) {
+            if f.rolls(Site::TraceTruncate, name) {
                 return Err(PipelineError::new(
                     name,
                     Stage::Trace,
@@ -594,7 +611,7 @@ impl Session {
                 Err(e) => return Err(PipelineError::trace(name, &e)),
             };
             if let Some(f) = &self.faults {
-                if f.truncate_trace(&format!("{name}:chunk{}", chunk.index)) {
+                if f.rolls(Site::TraceTruncate, &format!("{name}:chunk{}", chunk.index)) {
                     return Err(PipelineError::new(
                         name,
                         Stage::Trace,
@@ -1462,6 +1479,13 @@ mod tests {
             .with_budget(ExecBudget::unlimited())
             .with_divergence_guard(None)
             .with_streaming(false)
+    }
+
+    #[test]
+    #[should_panic(expected = "no session hook for fault site")]
+    fn with_faults_rejects_sites_the_session_never_hooks() {
+        let plan = FaultPlan::parse("store.io~0.1,crash.store-put@1").unwrap();
+        let _ = clean_session().with_faults(Some(Arc::new(plan)));
     }
 
     #[test]

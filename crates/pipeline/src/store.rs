@@ -14,8 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::crash::{crash_point, SITE_STORE_PUT};
-use crate::fault::FaultPlan;
+use crate::fault::{crash_point, FaultPlan, Site, SITE_STORE_PUT};
 use crate::hash::{ContentHash, Sha256};
 use crate::journal::sync_dir;
 use crate::json::Json;
@@ -222,7 +221,7 @@ impl ArtifactStore {
     /// file-not-found (which is an `Ok(None)` miss).
     pub fn try_load(&self, key: &ContentHash, site: &str) -> std::io::Result<Option<Json>> {
         if let Some(f) = &self.faults {
-            if f.store_io_error(site) {
+            if f.rolls(Site::StoreIo, site) {
                 return Err(std::io::Error::other(format!(
                     "injected I/O fault at {site}"
                 )));
@@ -238,7 +237,7 @@ impl ArtifactStore {
             Err(e) => return Err(e),
         };
         if let Some(f) = &self.faults {
-            if f.corrupt_artifact(site) {
+            if f.rolls(Site::StoreCorrupt, site) {
                 text = f.corrupt_text(site, &text);
             }
         }
@@ -357,9 +356,9 @@ impl ArtifactStore {
 
     /// Evicts least-recently-used artifacts until the store's `.json`
     /// bytes fit under the cap; a no-op without one. Mtime is the recency
-    /// signal (capped stores [`touch`](Self::touch) artifacts on every
-    /// load hit). Journals and quarantined files live in subdirectories,
-    /// so only top-level artifacts are ever evicted. Returns
+    /// signal (capped stores touch artifacts on every load hit). Journals
+    /// and quarantined files live in subdirectories, so only top-level
+    /// artifacts are ever evicted. Returns
     /// `(files_evicted, bytes_reclaimed)` and folds the bytes into
     /// [`StoreStats::gc_reclaimed_bytes`].
     pub fn enforce_cap(&self) -> (u64, u64) {
@@ -416,7 +415,7 @@ impl ArtifactStore {
     /// Returns the underlying (or injected) I/O error.
     fn try_save(&self, key: &ContentHash, doc: &Json, site: &str) -> std::io::Result<()> {
         if let Some(f) = &self.faults {
-            if f.store_io_error(site) {
+            if f.rolls(Site::StoreIo, site) {
                 return Err(std::io::Error::other(format!(
                     "injected I/O fault at {site}"
                 )));
@@ -489,7 +488,7 @@ impl ArtifactStore {
         let op = format!("import:{}", key.short());
         self.with_retry(&op, |site| {
             if let Some(f) = &self.faults {
-                if f.store_io_error(site) {
+                if f.rolls(Site::StoreIo, site) {
                     return Err(std::io::Error::other(format!(
                         "injected I/O fault at {site}"
                     )));
@@ -703,7 +702,9 @@ mod tests {
         store.save(&k, Json::U64(9));
         // Certain I/O failure: every attempt fails, so loads degrade to
         // misses and saves warn — but nothing panics or errors out.
-        store.set_faults(Some(Arc::new(FaultPlan::seeded(3).with_store_io(1.0))));
+        store.set_faults(Some(Arc::new(
+            FaultPlan::parse("store.io~1,seed=3").unwrap(),
+        )));
         assert_eq!(store.load(&k), None);
         let s = store.stats();
         assert_eq!(s.io_errors, 1);
@@ -721,10 +722,11 @@ mod tests {
         let k = key("g");
         let mut hit_retry_path = false;
         for seed in 0..64 {
-            let plan = FaultPlan::seeded(seed).with_store_io(0.5);
-            let fails_first = plan.store_io_error(&format!("load:{}:try0", k.short()));
-            let passes_later = !plan.store_io_error(&format!("load:{}:try1", k.short()))
-                || !plan.store_io_error(&format!("load:{}:try2", k.short()));
+            let plan = FaultPlan::parse(&format!("store.io~0.5,seed={seed}")).unwrap();
+            let fails =
+                |attempt| plan.rolls(Site::StoreIo, &format!("load:{}:try{attempt}", k.short()));
+            let fails_first = fails(0);
+            let passes_later = !fails(1) || !fails(2);
             if fails_first && passes_later {
                 let mut store = temp_store(&format!("flaky{seed}"));
                 store.save(&k, Json::U64(5));
@@ -934,7 +936,7 @@ mod tests {
         let k = key("h");
         store.save(&k, Json::U64(1));
         store.set_faults(Some(Arc::new(
-            FaultPlan::seeded(1).with_artifact_corrupt(1.0),
+            FaultPlan::parse("store.corrupt~1,seed=1").unwrap(),
         )));
         assert_eq!(store.load(&k), None);
         let s = store.stats();

@@ -4,12 +4,12 @@
 //! *identical* to an uninterrupted run — results bit-for-bit, quarantines
 //! replayed verbatim — while recomputing only units the journal does not
 //! record. Composed with the streaming trace architecture and with
-//! site-seeded fault injection (the deterministic `PRISM_FAULTS` kinds),
+//! seeded fault injection (the `~P` sites of `PRISM_FAULTS`),
 //! because crash recovery must hold under degraded stores too.
 //!
 //! The companion kill harness (`tests/crash_resume_kill.rs` at the
 //! workspace root) proves the same property across real process kills at
-//! every `PRISM_CRASH` site; these tests cover the replay logic itself in
+//! every `crash.*` fault site; these tests cover the replay logic itself in
 //! the normal harness.
 
 use std::sync::Arc;
@@ -195,7 +195,7 @@ fn resume_composes_with_streaming_traces() {
 #[test]
 fn resume_composes_with_site_seeded_faults() {
     // Only the site-seeded fault kinds are deterministic across processes
-    // and runs (stage-panic is counter-based, so it is excluded): a
+    // and runs (stage panics are hit-counted, so they are excluded): a
     // degraded store (failing I/O, corrupt loads) must not break resume.
     let reference = run_resumable(&clean_session("faults-ref"), false);
     assert!(
@@ -205,12 +205,10 @@ fn resume_composes_with_site_seeded_faults() {
     );
 
     for (tag, plan) in [
-        ("store-io", FaultPlan::seeded(11).with_store_io(1.0)),
-        (
-            "artifact-corrupt",
-            FaultPlan::seeded(12).with_artifact_corrupt(1.0),
-        ),
+        ("store-io", "store.io~1,seed=11"),
+        ("artifact-corrupt", "store.corrupt~1,seed=12"),
     ] {
+        let plan = FaultPlan::parse(plan).expect("valid spec");
         let dir = temp_dir(tag);
         seed_partial_journal(&dir, &reference, 5);
         let session = clean_session("faults-unused")

@@ -70,9 +70,8 @@ fn stage_panics_and_corrupt_artifacts_quarantine_per_point() {
     // Chaos run: the first two design-point evaluations panic, and every
     // artifact load comes back corrupted (forcing the discard path — the
     // store starts empty here, so corruption only matters for re-loads).
-    let plan = FaultPlan::seeded(42)
-        .with_stage_panic(Stage::Evaluate, 2)
-        .with_artifact_corrupt(1.0);
+    let plan = FaultPlan::parse("evaluate.panic@1,evaluate.panic@2,store.corrupt~1,seed=42")
+        .expect("valid spec");
     let session = clean_session("panic-chaos").with_faults(Some(Arc::new(plan)));
     let report = run_sweep(&session);
 
@@ -108,7 +107,7 @@ fn stage_panics_and_corrupt_artifacts_quarantine_per_point() {
 
 #[test]
 fn total_trace_truncation_fails_everything_with_typed_errors() {
-    let plan = FaultPlan::seeded(7).with_trace_truncate(1.0);
+    let plan = FaultPlan::parse("trace.truncate~1,seed=7").expect("valid spec");
     let session = clean_session("truncate").with_faults(Some(Arc::new(plan)));
     let report = run_sweep(&session);
 
@@ -128,7 +127,7 @@ fn total_trace_truncation_fails_everything_with_typed_errors() {
 fn dead_store_degrades_to_recompute_with_identical_results() {
     let healthy = run_sweep(&clean_session("deadstore-ref"));
 
-    let plan = FaultPlan::seeded(3).with_store_io(1.0);
+    let plan = FaultPlan::parse("store.io~1,seed=3").expect("valid spec");
     let session = clean_session("deadstore").with_faults(Some(Arc::new(plan)));
     let report = run_sweep(&session);
 

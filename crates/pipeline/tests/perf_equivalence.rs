@@ -89,8 +89,8 @@ fn faulted_sweep_matches_direct_oracle() {
     // quarantines workloads, and the first two evaluate-stage entries
     // panic. Every evaluation runs after the timing prefill, so all of
     // them are memo hits: the fault hook must fire on hits all the same.
-    let plan =
-        FaultPlan::parse("trace-truncate:0.05,stage-panic:evaluate:2@seed=7").expect("valid spec");
+    let plan = FaultPlan::parse("trace.truncate~0.05,evaluate.panic@1,evaluate.panic@2,seed=7")
+        .expect("valid spec");
     let workloads = full_registry();
     let (cores, subsets) = small_grid();
     let s = session("faults").with_faults(Some(std::sync::Arc::new(plan)));

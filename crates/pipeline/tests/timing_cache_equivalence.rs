@@ -182,7 +182,7 @@ fn streamed_faulted_sweep_matches_direct_oracle() {
     // As if via PRISM_STREAM=1 + site-seeded PRISM_FAULTS: injected
     // store I/O failures and artifact corruption hit the timing cache
     // too, and must only ever degrade it to recompute.
-    let plan = FaultPlan::parse("store-io:0.05,artifact-corrupt:0.10@seed=11").expect("valid spec");
+    let plan = FaultPlan::parse("store.io~0.05,store.corrupt~0.10,seed=11").expect("valid spec");
     let workloads = registry();
     let cores = vec![CoreConfig::io2(), io2_twin()];
     let subsets = small_subsets();

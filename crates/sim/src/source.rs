@@ -54,14 +54,22 @@ pub fn reset_peak_chunk_bytes() {
 
 /// Chunk size in instructions: `PRISM_CHUNK` or [`DEFAULT_CHUNK_INSTS`].
 ///
-/// Values that fail to parse (or are zero) fall back to the default.
+/// # Panics
+///
+/// Panics when the variable is set but not a positive integer — like the
+/// other env knobs, a typo must not silently run at the default size.
 #[must_use]
 pub fn chunk_size_from_env() -> usize {
-    std::env::var(CHUNK_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CHUNK_INSTS)
+    std::env::var(CHUNK_ENV).map_or(DEFAULT_CHUNK_INSTS, |v| parse_chunk(&v))
+}
+
+fn parse_chunk(v: &str) -> usize {
+    let n = v
+        .trim()
+        .parse::<usize>()
+        .unwrap_or_else(|e| panic!("bad {CHUNK_ENV} value `{v}`: {e}"));
+    assert!(n >= 1, "bad {CHUNK_ENV} value `{v}`: must be >= 1");
+    n
 }
 
 /// One bounded block of the retired instruction stream.
@@ -496,5 +504,12 @@ mod tests {
             .materialize()
             .unwrap();
         assert_eq!(t.stats.insts, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad PRISM_CHUNK value `4k`")]
+    fn typoed_chunk_value_panics() {
+        assert_eq!(parse_chunk("4096"), 4096);
+        let _ = parse_chunk("4k");
     }
 }

@@ -20,7 +20,7 @@
 //!   ([`grid::run_grid`]),
 //! * [`net`] — the multi-host sweep fabric: shard links, the TCP worker
 //!   daemon handshake, and network fault injection ([`net::ShardLink`]),
-//! * [`bench`] — the figure/table harness, one binary per table and
+//! * [`bench`](mod@bench) — the figure/table harness, one binary per table and
 //!   figure of the paper.
 //!
 //! Performance is measured by the separate `benchmark/` package

@@ -2,7 +2,7 @@
 //! binary re-invokes *itself* as the crashing child — and as a grid
 //! worker — so it must own `main` and stdout).
 //!
-//! Property: for every `PRISM_CRASH` kill site, killing a sweep at that
+//! Property: for every crash site in the fault registry, killing a sweep at that
 //! site and re-running with `--resume` produces stdout byte-identical to
 //! an uninterrupted run, replays every unit the journal recorded as done
 //! (zero of them recomputed), and recomputes exactly the units whose
@@ -12,7 +12,7 @@
 //! with `PRISM_CRASH_KILL_CHILD=explore|grid`. The explore child runs a
 //! journaled in-process sweep; the grid child runs a 2-worker grid whose
 //! workers are further re-invocations of this binary. The parent injects
-//! `PRISM_CRASH=<site>@<n>`, expects exit code 137, inspects the journal
+//! `PRISM_FAULTS=crash.<site>@<n>`, expects exit code 137, inspects the journal
 //! and store it left behind, then resumes and diffs.
 
 use std::path::{Path, PathBuf};
@@ -20,9 +20,10 @@ use std::process::Command;
 use std::time::Duration;
 
 use prism::grid::{run_grid, run_worker_if_env, GridConfig};
+use prism::pipeline::fault::SITES;
 use prism::pipeline::{
     journal_path, sweep_key, JournalReplay, Json, Session, SweepReport, CRASH_EXIT_CODE,
-    SITE_GRID_FRAME, SITE_JOURNAL_APPEND, SITE_STORE_PUT, SITE_UNIT_COMPLETE,
+    FAULTS_ENV, SITE_GRID_FRAME,
 };
 use prism::sim::TracerConfig;
 use prism::tdg::BsaKind;
@@ -130,7 +131,7 @@ fn child_grid() -> ! {
         env: Vec::new(),
         // Workers must not inherit the kill spec: the property under test
         // is a *coordinator* kill (worker deaths are grid_smoke's domain).
-        env_remove: vec!["PRISM_CRASH".into(), CHILD_ENV.into()],
+        env_remove: vec![FAULTS_ENV.into(), CHILD_ENV.into()],
         net_faults: prism::net::NetFaultPlan::default(),
         resume,
     };
@@ -160,11 +161,11 @@ fn run_child(mode: &str, store: &Path, crash: Option<&str>, resume: bool) -> Chi
     let mut cmd = Command::new(exe);
     cmd.env(CHILD_ENV, mode)
         .env(STORE_ENV, store)
-        .env_remove("PRISM_CRASH")
+        .env_remove(FAULTS_ENV)
         .env_remove(RESUME_ENV)
         .env_remove(STATS_ENV);
     if let Some(spec) = crash {
-        cmd.env("PRISM_CRASH", spec);
+        cmd.env(FAULTS_ENV, spec);
     }
     if resume {
         cmd.env(RESUME_ENV, "1");
@@ -219,6 +220,19 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// The registry's crash sites, as written in `PRISM_FAULTS`.
+fn crash_sites() -> impl Iterator<Item = &'static str> {
+    SITES
+        .iter()
+        .map(|spec| spec.name)
+        .filter(|name| name.starts_with("crash."))
+}
+
+/// The one crash site only a grid coordinator hits.
+fn grid_frame_site() -> String {
+    format!("crash.{SITE_GRID_FRAME}")
+}
+
 /// One explore kill/resume round: kill at `site@hit`, then resume and
 /// check byte-identity plus the recompute accounting.
 fn explore_round(reference: &str, site: &str, hit: u64) {
@@ -269,7 +283,9 @@ fn scenario_explore_kill_everywhere() {
     assert!(!reference.stdout.is_empty());
     let _ = std::fs::remove_dir_all(&ref_store);
 
-    for site in [SITE_STORE_PUT, SITE_JOURNAL_APPEND, SITE_UNIT_COMPLETE] {
+    // Every crash site but the coordinator's is an explore kill point; a
+    // newly registered site is covered here without editing this test.
+    for site in crash_sites().filter(|&site| site != grid_frame_site()) {
         for hit in [1, 3] {
             explore_round(&reference.stdout, site, hit);
         }
@@ -283,8 +299,9 @@ fn scenario_grid_coordinator_kill() {
     assert!(!reference.stdout.is_empty());
     let _ = std::fs::remove_dir_all(&ref_store);
 
+    assert!(crash_sites().any(|site| site == grid_frame_site()));
     let store = scratch("grid-crash");
-    let spec = format!("{SITE_GRID_FRAME}@2");
+    let spec = format!("{}@2", grid_frame_site());
     let crashed = run_child("grid", &store, Some(&spec), false);
     assert_eq!(
         crashed.status,
@@ -327,12 +344,10 @@ fn main() {
     // environment) from ambient knobs like the CI fault matrix.
     for var in [
         "PRISM_FAULTS",
-        "PRISM_GRID_FAULTS",
         "PRISM_STREAM",
         "PRISM_JOBS",
         "PRISM_ARTIFACT_DIR",
         "PRISM_WORKERS",
-        "PRISM_CRASH",
         "PRISM_SCALE",
         "PRISM_STORE_CAP",
         "PRISM_DIVERGENCE",
@@ -340,7 +355,6 @@ fn main() {
         "PRISM_CHUNK",
         "PRISM_GRID_TIMEOUT_MS",
         "PRISM_NO_FSYNC",
-        "PRISM_NET_FAULTS",
         "PRISM_NET_TOKEN",
         "PRISM_HOSTS",
         STORE_ENV,

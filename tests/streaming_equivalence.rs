@@ -3,7 +3,7 @@
 //! Streaming mode (chunk artifacts persisted and replayed from the store)
 //! and plain in-memory mode must produce *identical* [`SweepReport`]s —
 //! over every registered workload, and under fault injection where a
-//! `trace-truncate` fault lands mid-stream on a chunk site.
+//! `trace.truncate` fault lands mid-stream on a chunk site.
 //!
 //! The whole property lives in one `#[test]` because it pins `PRISM_CHUNK`
 //! (so every trace spans many chunks) via the process environment, which
@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use prism::pipeline::{FaultPlan, Session, SweepReport};
+use prism::pipeline::{FaultPlan, Session, Site, SweepReport};
 use prism::sim::TracerConfig;
 use prism::tdg::BsaKind;
 use prism::udg::{CoreConfig, ExecBudget};
@@ -41,6 +41,11 @@ fn session(tag: &str, streaming: bool, faults: Option<Arc<FaultPlan>>) -> Sessio
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
         .with_streaming(streaming)
+}
+
+/// A plan truncating each trace (or stream chunk) with probability 0.2 %.
+fn truncating_plan(seed: u64) -> FaultPlan {
+    FaultPlan::parse(&format!("trace.truncate~0.002,seed={seed}")).expect("valid spec")
 }
 
 fn sweep(s: &Session, workloads: &[&Workload]) -> SweepReport {
@@ -108,13 +113,13 @@ fn streaming_and_in_memory_sweeps_are_identical() {
     // always reached, so the stream dies mid-trace, not at the gate.
     let mid_chunk_seed = (0..5000)
         .find(|&seed| {
-            let plan = FaultPlan::seeded(seed).with_trace_truncate(0.002);
-            !plan.truncate_trace("mm")
-                && !plan.truncate_trace("mm:chunk0")
-                && plan.truncate_trace("mm:chunk1")
+            let plan = truncating_plan(seed);
+            !plan.rolls(Site::TraceTruncate, "mm")
+                && !plan.rolls(Site::TraceTruncate, "mm:chunk0")
+                && plan.rolls(Site::TraceTruncate, "mm:chunk1")
         })
         .expect("some seed in 0..5000 truncates mm mid-stream");
-    let plan = Arc::new(FaultPlan::seeded(mid_chunk_seed).with_trace_truncate(0.002));
+    let plan = Arc::new(truncating_plan(mid_chunk_seed));
 
     let faulted_mem = sweep(&session("fmem", false, Some(Arc::clone(&plan))), &workloads);
     let faulted_stream = sweep(&session("fstream", true, Some(plan)), &workloads);
