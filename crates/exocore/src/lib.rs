@@ -10,7 +10,8 @@
 //! * [`WorkloadData`] — trace + IR + plans, prepared once per workload,
 //! * [`oracle_schedule`] / [`oracle_table`] / [`oracle_pick`] — the
 //!   paper's Oracle scheduler (measured energy-delay, ≤10% region
-//!   slowdown),
+//!   slowdown); [`oracle_table_with`] measures a table from a caller's
+//!   trace-walk timing source,
 //! * [`amdahl_schedule`] — the Amdahl-tree scheduler of §3.3 (static
 //!   estimates, no oracle information),
 //! * [`evaluate_point`] / [`DesignPoint`] — the 64-point design space of
@@ -49,6 +50,6 @@ pub use dse::{
 };
 pub use schedule::{
     amdahl_schedule, oracle_pick, oracle_schedule, oracle_table, oracle_table_budgeted,
-    CandidateGain, OracleTable, MAX_REGION_SLOWDOWN,
+    oracle_table_with, CandidateGain, OracleTable, MAX_REGION_SLOWDOWN,
 };
 pub use timeline::{switching_timeline, WindowPoint};

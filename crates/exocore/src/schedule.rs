@@ -1,11 +1,11 @@
 //! BSA selection: the Oracle scheduler and the Amdahl-tree scheduler of
 //! the paper's §3.3 / §4.
 
+use std::sync::Arc;
+
 use prism_ir::LoopId;
-use prism_tdg::{run_exocore, Assignment, BsaKind};
-use prism_udg::{
-    try_simulate_trace, BudgetExceeded, CoreConfig, CoreRun, ExecBudget, FuelMeter, NODES_PER_INST,
-};
+use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoRunResult, ExoTiming};
+use prism_udg::{BudgetExceeded, CoreConfig, ExecBudget, FuelMeter, NODES_PER_INST};
 
 use crate::WorkloadData;
 
@@ -34,8 +34,9 @@ pub struct CandidateGain {
 /// candidate evaluated in isolation against the plain-core baseline.
 #[derive(Debug, Clone)]
 pub struct OracleTable {
-    /// Plain-core baseline run.
-    pub baseline: CoreRun,
+    /// Plain-core baseline: the empty assignment, priced with no BSA
+    /// present.
+    pub baseline: ExoRunResult,
     /// Measured candidates.
     pub candidates: Vec<CandidateGain>,
 }
@@ -64,10 +65,10 @@ fn charge_run(meter: &mut FuelMeter, trace_len: usize) -> Result<(), BudgetExcee
 /// candidate loops cost proportionally more, which is exactly what a fuel
 /// cap should capture.
 ///
-/// Every run here goes through the windowed µDG engine
-/// ([`try_simulate_trace`] / `run_exocore`), so auxiliary timing state is
-/// O(window), not O(trace) — the table walks the trace, it never copies
-/// it.
+/// Every run here is a fresh windowed µDG walk ([`run_exocore_timing`]),
+/// so auxiliary timing state is O(window), not O(trace) — the table walks
+/// the trace, it never copies it. [`oracle_table_with`] measures the same
+/// table from a caller's timing source instead.
 ///
 /// # Errors
 ///
@@ -77,10 +78,41 @@ pub fn oracle_table_budgeted(
     core: &CoreConfig,
     budget: &ExecBudget,
 ) -> Result<OracleTable, BudgetExceeded> {
+    oracle_table_with(data, core, budget, &mut |assignment| {
+        Arc::new(run_exocore_timing(
+            &data.trace,
+            &data.ir,
+            core,
+            &data.plans,
+            assignment,
+        ))
+    })
+}
+
+/// [`oracle_table_budgeted`] with the trace-walk timings supplied by
+/// `timing`, which is asked once for the empty baseline assignment and
+/// once per single-loop candidate assignment, all on `core`. Each answer
+/// is priced with [`price_exocore`]: the baseline with no BSA present,
+/// a candidate with only its own BSA.
+///
+/// The fuel meter is charged before every request exactly as if each one
+/// were walked, so a caching `timing` trips the budget at the same
+/// candidate as an uncached one. `timing` must return what
+/// [`run_exocore_timing`] would for (`data`, `core`, assignment); the
+/// table is then bit-identical to [`oracle_table_budgeted`]'s.
+///
+/// # Errors
+///
+/// Returns [`BudgetExceeded`] as soon as the next run would not fit.
+pub fn oracle_table_with(
+    data: &WorkloadData,
+    core: &CoreConfig,
+    budget: &ExecBudget,
+    timing: &mut dyn FnMut(&Assignment) -> Arc<ExoTiming>,
+) -> Result<OracleTable, BudgetExceeded> {
     let mut meter = budget.meter();
     charge_run(&mut meter, data.trace.len())?;
-    let baseline = try_simulate_trace(&data.trace, core, &ExecBudget::unlimited())
-        .expect("unlimited budget cannot trip");
+    let baseline = price_exocore(&timing(&Assignment::none()), core, &[]);
     let base_ed = baseline.cycles as f64 * baseline.energy.total();
     let mut candidates = Vec::new();
     for kind in BsaKind::ALL {
@@ -94,7 +126,7 @@ pub fn oracle_table_budgeted(
             let mut a = Assignment::none();
             a.set(lid, kind);
             charge_run(&mut meter, data.trace.len())?;
-            let run = run_exocore(&data.trace, &data.ir, core, &data.plans, &a, &[kind]);
+            let run = price_exocore(&timing(&a), core, &[kind]);
             let ed = run.cycles as f64 * run.energy.total();
             // Region share of baseline time, approximated by its dynamic-
             // instruction share.
@@ -236,6 +268,7 @@ pub fn amdahl_schedule(data: &WorkloadData, core: &CoreConfig, enabled: &[BsaKin
 mod tests {
     use super::*;
     use prism_isa::{Program, ProgramBuilder, Reg};
+    use prism_tdg::run_exocore;
 
     fn dp_kernel(n: i64) -> Program {
         let (pa, pb, i) = (Reg::int(1), Reg::int(2), Reg::int(3));
@@ -306,6 +339,105 @@ mod tests {
         let budgeted = oracle_table_budgeted(&data, &core, &roomy).expect("roomy budget");
         assert_eq!(budgeted.candidates.len(), full.candidates.len());
         assert_eq!(budgeted.baseline.cycles, full.baseline.cycles);
+    }
+
+    /// A timing source that walks on request and counts its calls.
+    fn counting_walker<'a>(
+        data: &'a WorkloadData,
+        core: &'a CoreConfig,
+        calls: &'a mut usize,
+    ) -> impl FnMut(&Assignment) -> Arc<ExoTiming> + 'a {
+        move |a| {
+            *calls += 1;
+            Arc::new(run_exocore_timing(
+                &data.trace,
+                &data.ir,
+                core,
+                &data.plans,
+                a,
+            ))
+        }
+    }
+
+    #[test]
+    fn seam_table_matches_direct_runs_bit_for_bit() {
+        let data = WorkloadData::prepare(&dp_kernel(600)).unwrap();
+        let core = CoreConfig::ooo2();
+        let mut calls = 0;
+        let table = oracle_table_with(
+            &data,
+            &core,
+            &ExecBudget::unlimited(),
+            &mut counting_walker(&data, &core, &mut calls),
+        )
+        .expect("unlimited budget");
+        assert_eq!(calls, 1 + table.candidates.len(), "one request per run");
+
+        let budgeted = oracle_table_budgeted(&data, &core, &ExecBudget::unlimited()).unwrap();
+        let base = prism_udg::simulate_trace(&data.trace, &core);
+        assert_eq!(table.baseline.cycles, base.cycles);
+        assert_eq!(
+            table.baseline.energy.total().to_bits(),
+            base.energy.total().to_bits()
+        );
+        assert_eq!(table.candidates.len(), budgeted.candidates.len());
+        let base_ed = base.cycles as f64 * base.energy.total();
+        for (c, b) in table.candidates.iter().zip(&budgeted.candidates) {
+            let mut a = Assignment::none();
+            a.set(c.lid, c.kind);
+            let direct = run_exocore(&data.trace, &data.ir, &core, &data.plans, &a, &[c.kind]);
+            let ed_gain = base_ed - direct.cycles as f64 * direct.energy.total();
+            for other in [c, b] {
+                assert_eq!((other.lid, other.kind), (c.lid, c.kind));
+                assert_eq!(other.cycles, direct.cycles);
+                assert_eq!(other.energy.to_bits(), direct.energy.total().to_bits());
+                assert_eq!(other.ed_gain.to_bits(), ed_gain.to_bits());
+            }
+            assert_eq!(c.perf_ok, b.perf_ok);
+        }
+    }
+
+    #[test]
+    fn cached_timing_trips_the_budget_at_the_same_candidate() {
+        let data = WorkloadData::prepare(&dp_kernel(600)).unwrap();
+        let core = CoreConfig::ooo2();
+        let full = oracle_table(&data, &core);
+        let runs = full.candidates.len() as u64 + 1;
+        // Every timing the table needs, ready before the table asks.
+        let mut cache = std::collections::HashMap::new();
+        let _ = oracle_table_with(&data, &core, &ExecBudget::unlimited(), &mut |a| {
+            let t = Arc::new(run_exocore_timing(
+                &data.trace,
+                &data.ir,
+                &core,
+                &data.plans,
+                a,
+            ));
+            cache.insert(format!("{:?}", a.map), Arc::clone(&t));
+            t
+        });
+        for fits in 1..=runs {
+            let budget = ExecBudget::for_trace_insts(data.trace.len() as u64, fits);
+            let mut walked = 0;
+            let uncached = oracle_table_with(
+                &data,
+                &core,
+                &budget,
+                &mut counting_walker(&data, &core, &mut walked),
+            );
+            let mut served = 0;
+            let cached = oracle_table_with(&data, &core, &budget, &mut |a| {
+                served += 1;
+                Arc::clone(&cache[&format!("{:?}", a.map)])
+            });
+            assert_eq!(walked, served, "budget {fits}: requests before the trip");
+            assert_eq!(walked as u64, fits, "budget {fits}");
+            match (uncached, cached) {
+                (Err(u), Err(c)) => assert_eq!((u.used, u.max_nodes), (c.used, c.max_nodes)),
+                (Ok(u), Ok(c)) => assert_eq!(u.candidates.len(), c.candidates.len()),
+                (u, c) => panic!("budget {fits}: uncached {u:?} vs cached {c:?}"),
+            }
+        }
     }
 
     #[test]

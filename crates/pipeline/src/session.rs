@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prism_exocore::{
-    all_bsa_subsets, all_cores, oracle_pick, oracle_table_budgeted, DesignPoint, DesignResult,
+    all_bsa_subsets, all_cores, oracle_pick, oracle_table_with, DesignPoint, DesignResult,
     OracleTable, WorkloadData, WorkloadMetrics,
 };
 use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
@@ -75,8 +75,17 @@ pub struct SessionStats {
     pub timing_artifacts_loaded: u64,
     /// Trace walks avoided (shape-memo hits + timing artifacts loaded).
     pub walks_skipped: u64,
-    /// Trace walks actually performed ([`run_exocore_timing`]).
+    /// Trace walks actually performed ([`run_exocore_timing`]) for
+    /// design-point timings, counted when a design point first uses the
+    /// timing (also when an oracle table walked it first).
     pub trace_walks: u64,
+    /// Trace walks performed for oracle tables whose timing no design
+    /// point has used; `trace_walks + table_walks` is every walk
+    /// performed.
+    pub table_walks: u64,
+    /// Timing summaries loaded from the store for oracle tables that no
+    /// design point has used.
+    pub table_timings_loaded: u64,
     /// Dynamic instructions produced by the functional simulator.
     pub sim_insts: u64,
     /// Wall-clock nanoseconds spent producing them.
@@ -87,7 +96,9 @@ pub struct SessionStats {
     /// Wall-clock nanoseconds spent in IR reconstruction + accelerator
     /// analysis ([`WorkloadData::from_trace`]).
     pub transform_nanos: u64,
-    /// Wall-clock nanoseconds spent measuring oracle tables (scheduling).
+    /// Wall-clock nanoseconds spent measuring oracle tables (scheduling),
+    /// excluding the trace walks (counted in `udg_nanos`) and store
+    /// loads nested under them.
     pub schedule_nanos: u64,
     /// Largest single in-flight trace chunk, in bytes — the streaming
     /// architecture's memory high-water mark for trace storage.
@@ -108,6 +119,8 @@ impl std::ops::AddAssign for SessionStats {
         self.timing_artifacts_loaded += rhs.timing_artifacts_loaded;
         self.walks_skipped += rhs.walks_skipped;
         self.trace_walks += rhs.trace_walks;
+        self.table_walks += rhs.table_walks;
+        self.table_timings_loaded += rhs.table_timings_loaded;
         self.sim_insts += rhs.sim_insts;
         self.sim_nanos += rhs.sim_nanos;
         self.udg_nanos += rhs.udg_nanos;
@@ -142,6 +155,7 @@ impl SessionStats {
              memo           : {} hits, {} misses\n\
              trace walks    : {} performed, {} skipped \
              ({} shape-memo hits, {} timing artifacts loaded)\n\
+             table walks    : {} performed, {} loaded\n\
              sim throughput : {} insts in {} ms ({:.0} insts/sec)\n\
              stage wall     : sim {} ms, uDG {} ms, transforms {} ms, \
              schedule {} ms\n\
@@ -160,6 +174,8 @@ impl SessionStats {
             self.walks_skipped,
             self.shape_memo_hits,
             self.timing_artifacts_loaded,
+            self.table_walks,
+            self.table_timings_loaded,
             self.sim_insts,
             self.sim_nanos / 1_000_000,
             self.insts_per_sec(),
@@ -292,6 +308,27 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
 /// hashing, fault injection, prewarm, and chunk-level reuse across runs.
 pub const STREAM_ENV: &str = "PRISM_STREAM";
 
+/// Whether a design point has used a memoized trace-walk timing and, if
+/// not yet, how the oracle table that asked for it got it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Claim {
+    /// A design point has used it; it counts under the design-point
+    /// counters, and a walked one has been saved to the store.
+    Point,
+    /// Walked for an oracle table (counted in `table_walks`, not saved).
+    TableWalked,
+    /// Loaded from the store for an oracle table (counted in
+    /// `table_timings_loaded`).
+    TableLoaded,
+}
+
+/// One entry of the session's shape-keyed timing memo.
+#[derive(Debug)]
+struct MemoTiming {
+    timing: Arc<ExoTiming>,
+    claim: Claim,
+}
+
 /// The pipeline session: memoized stages + content-addressed artifacts +
 /// deterministic parallelism.
 #[derive(Debug)]
@@ -306,13 +343,15 @@ pub struct Session {
     streaming: bool,
     workloads: Mutex<HashMap<ContentHash, Arc<WorkloadData>>>,
     tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
-    timings: Mutex<HashMap<ContentHash, Arc<ExoTiming>>>,
+    timings: Mutex<HashMap<ContentHash, MemoTiming>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     shape_memo_hits: AtomicU64,
     timing_artifacts_loaded: AtomicU64,
     walks_skipped: AtomicU64,
     trace_walks: AtomicU64,
+    table_walks: AtomicU64,
+    table_timings_loaded: AtomicU64,
     sim_insts: AtomicU64,
     sim_nanos: AtomicU64,
     udg_nanos: AtomicU64,
@@ -377,6 +416,8 @@ impl Session {
             timing_artifacts_loaded: AtomicU64::new(0),
             walks_skipped: AtomicU64::new(0),
             trace_walks: AtomicU64::new(0),
+            table_walks: AtomicU64::new(0),
+            table_timings_loaded: AtomicU64::new(0),
             sim_insts: AtomicU64::new(0),
             sim_nanos: AtomicU64::new(0),
             udg_nanos: AtomicU64::new(0),
@@ -799,6 +840,17 @@ impl Session {
     /// memoized per (workload key, core) and metered against the session's
     /// execution budget.
     ///
+    /// The table's trace-walk timings come from the session's one
+    /// [shape-keyed](Session::shape_key) timing memo: memo, then the
+    /// store, then a walk. A timing a design point also needs is walked
+    /// or loaded once and shared. Such a timing counts under the
+    /// design-point counters, and a walked one is saved, only when a
+    /// design point first uses it; until then it counts in
+    /// [`SessionStats::table_walks`] or
+    /// [`SessionStats::table_timings_loaded`]. Once the table is built,
+    /// its unused timings that no BSA subset's [`oracle_pick`] on `core`
+    /// selects leave the memo.
+    ///
     /// # Errors
     ///
     /// Returns a budget-kind [`PipelineError`] when the table cannot be
@@ -823,11 +875,57 @@ impl Session {
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
-        let table = oracle_table_budgeted(&workload.data, core, &self.budget)
-            .map_err(|e| PipelineError::budget(&workload.name, &e))?;
-        self.schedule_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let table = Arc::new(table);
+        let mut nested = std::time::Duration::ZERO;
+        let mut requested = Vec::new();
+        let table = oracle_table_with(&workload.data, core, &self.budget, &mut |assignment| {
+            let shape = self.shape_key(workload, core, assignment);
+            requested.push(shape);
+            if let Some(e) = self.timing_memo().get(&shape) {
+                return Arc::clone(&e.timing);
+            }
+            let fetch = std::time::Instant::now();
+            let (timing, claim) = match self.load_timing(&shape) {
+                Some(t) => {
+                    self.table_timings_loaded.fetch_add(1, Ordering::Relaxed);
+                    (t, Claim::TableLoaded)
+                }
+                None => {
+                    self.table_walks.fetch_add(1, Ordering::Relaxed);
+                    (self.walk(workload, core, assignment), Claim::TableWalked)
+                }
+            };
+            nested += fetch.elapsed();
+            let mut memo = self.timing_memo();
+            let entry = memo.entry(shape).or_insert(MemoTiming { timing, claim });
+            Arc::clone(&entry.timing)
+        });
+        self.schedule_nanos.fetch_add(
+            started.elapsed().saturating_sub(nested).as_nanos() as u64,
+            Ordering::Relaxed,
+        );
+        let table = table.map_err(|e| PipelineError::budget(&workload.name, &e));
+        // Drop rule: keep a table timing no design point has used only if
+        // some BSA subset's pick on this core selects it. A table that
+        // failed selects nothing.
+        let picked: std::collections::HashSet<ContentHash> = table
+            .iter()
+            .flat_map(|table| {
+                all_bsa_subsets().into_iter().map(|bsas| {
+                    let point = DesignPoint::new(core.clone(), bsas);
+                    let assignment = oracle_pick(table, &workload.data, &point.bsas);
+                    self.shape_key(workload, &point.core, &assignment)
+                })
+            })
+            .collect();
+        {
+            let mut memo = self.timing_memo();
+            for shape in requested.iter().filter(|s| !picked.contains(s)) {
+                if memo.get(shape).is_some_and(|e| e.claim != Claim::Point) {
+                    memo.remove(shape);
+                }
+            }
+        }
+        let table = Arc::new(table?);
         self.tables
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -871,6 +969,10 @@ impl Session {
     /// or stale stored timing degrades to a recompute (the store validates
     /// on load, the decoder is strict). Counts against the session's memo
     /// and walk stats and the µDG stage wall-time.
+    ///
+    /// The first use of a timing an oracle table walked or loaded counts
+    /// as that walk or load, and saves a walked one, as if this call had
+    /// made it.
     fn exo_timing(
         &self,
         workload: &PreparedWorkload,
@@ -878,32 +980,75 @@ impl Session {
         assignment: &Assignment,
     ) -> Arc<ExoTiming> {
         let key = self.shape_key(workload, core, assignment);
-        if let Some(t) = self
-            .timings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            self.shape_memo_hits.fetch_add(1, Ordering::Relaxed);
-            self.walks_skipped.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(t);
-        }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(timing) = self
-            .store
-            .load(&key)
-            .and_then(|payload| decode_exo_timing(&payload))
-        {
-            self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
-            self.walks_skipped.fetch_add(1, Ordering::Relaxed);
-            let timing = Arc::new(timing);
-            self.timings
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(key, Arc::clone(&timing));
+        let found = self.timing_memo().get_mut(&key).map(|e| {
+            let first = std::mem::replace(&mut e.claim, Claim::Point);
+            (Arc::clone(&e.timing), first)
+        });
+        if let Some((timing, first)) = found {
+            match first {
+                Claim::Point => {
+                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                    self.shape_memo_hits.fetch_add(1, Ordering::Relaxed);
+                    self.walks_skipped.fetch_add(1, Ordering::Relaxed);
+                }
+                Claim::TableLoaded => {
+                    self.memo_misses.fetch_add(1, Ordering::Relaxed);
+                    self.table_timings_loaded.fetch_sub(1, Ordering::Relaxed);
+                    self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
+                    self.walks_skipped.fetch_add(1, Ordering::Relaxed);
+                }
+                Claim::TableWalked => {
+                    self.memo_misses.fetch_add(1, Ordering::Relaxed);
+                    self.table_walks.fetch_sub(1, Ordering::Relaxed);
+                    self.trace_walks.fetch_add(1, Ordering::Relaxed);
+                    self.store.save(&key, encode_exo_timing(&timing));
+                }
+            }
             return timing;
         }
+        self.memo_misses.fetch_add(1, Ordering::Relaxed);
+        let timing = if let Some(timing) = self.load_timing(&key) {
+            self.timing_artifacts_loaded.fetch_add(1, Ordering::Relaxed);
+            self.walks_skipped.fetch_add(1, Ordering::Relaxed);
+            timing
+        } else {
+            let timing = self.walk(workload, core, assignment);
+            self.trace_walks.fetch_add(1, Ordering::Relaxed);
+            self.store.save(&key, encode_exo_timing(&timing));
+            timing
+        };
+        self.timing_memo().insert(
+            key,
+            MemoTiming {
+                timing: Arc::clone(&timing),
+                claim: Claim::Point,
+            },
+        );
+        timing
+    }
+
+    /// The shape-keyed timing memo. Poison recovery as for the workload
+    /// memo: every update leaves it valid.
+    fn timing_memo(&self) -> std::sync::MutexGuard<'_, HashMap<ContentHash, MemoTiming>> {
+        self.timings.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A stored timing summary, or `None` on a miss or an undecodable
+    /// payload.
+    fn load_timing(&self, key: &ContentHash) -> Option<Arc<ExoTiming>> {
+        self.store
+            .load(key)
+            .and_then(|payload| decode_exo_timing(&payload))
+            .map(Arc::new)
+    }
+
+    /// One trace walk, timed into the µDG stage wall.
+    fn walk(
+        &self,
+        workload: &PreparedWorkload,
+        core: &CoreConfig,
+        assignment: &Assignment,
+    ) -> Arc<ExoTiming> {
         let started = std::time::Instant::now();
         let timing = Arc::new(run_exocore_timing(
             &workload.trace,
@@ -914,12 +1059,6 @@ impl Session {
         ));
         self.udg_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.trace_walks.fetch_add(1, Ordering::Relaxed);
-        self.store.save(&key, encode_exo_timing(&timing));
-        self.timings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, Arc::clone(&timing));
         timing
     }
 
@@ -1446,6 +1585,8 @@ impl Session {
             timing_artifacts_loaded: self.timing_artifacts_loaded.load(Ordering::Relaxed),
             walks_skipped: self.walks_skipped.load(Ordering::Relaxed),
             trace_walks: self.trace_walks.load(Ordering::Relaxed),
+            table_walks: self.table_walks.load(Ordering::Relaxed),
+            table_timings_loaded: self.table_timings_loaded.load(Ordering::Relaxed),
             sim_insts: self.sim_insts.load(Ordering::Relaxed),
             sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
             udg_nanos: self.udg_nanos.load(Ordering::Relaxed),
@@ -1542,6 +1683,81 @@ mod tests {
             .oracle_table(&prepared, &CoreConfig::ooo4())
             .unwrap();
         assert!(!Arc::ptr_eq(&t1, &t3));
+    }
+
+    #[test]
+    fn oracle_table_keeps_only_timings_a_subset_can_pick() {
+        let dir = std::env::temp_dir().join(format!("prism-session-drop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = clean_session().with_store_dir(&dir);
+        let core = CoreConfig::ooo2();
+        // The table's baseline and candidates are single-loop (or empty)
+        // assignments on `core`; of those, only the picks of subsets
+        // without SIMD (which keeps the core's timing class) stay. Use a
+        // kernel with candidates that no such subset picks.
+        let prepared = prism_workloads::MICRO
+            .iter()
+            .map(|w| session.prepare(w).expect("prepare"))
+            .find(|p| {
+                let table = prism_exocore::oracle_table(&p.data, &core);
+                let picked: std::collections::HashSet<String> = all_bsa_subsets()
+                    .iter()
+                    .filter(|b| !b.contains(&BsaKind::Simd))
+                    .map(|b| format!("{:?}", oracle_pick(&table, &p.data, b).map))
+                    .collect();
+                picked.len() < 1 + table.candidates.len()
+            })
+            .expect("a kernel with table timings no subset picks");
+        let table = session.oracle_table(&prepared, &core).expect("table");
+        let requests = 1 + table.candidates.len() as u64;
+        let s = session.stats();
+        assert_eq!((s.trace_walks, s.table_walks), (0, requests), "{s:?}");
+
+        let picks: std::collections::HashSet<ContentHash> = all_bsa_subsets()
+            .into_iter()
+            .map(|bsas| {
+                let point = DesignPoint::new(core.clone(), bsas);
+                let a = oracle_pick(&table, &prepared.data, &point.bsas);
+                session.shape_key(&prepared, &point.core, &a)
+            })
+            .collect();
+        let unclaimed: Vec<ContentHash> = session
+            .timing_memo()
+            .iter()
+            .filter(|(_, e)| e.claim != Claim::Point)
+            .map(|(k, _)| *k)
+            .collect();
+        assert!(
+            (unclaimed.len() as u64) < requests,
+            "unpicked table timings must leave the memo"
+        );
+        assert!(unclaimed.iter().all(|k| picks.contains(k)));
+
+        // The no-SIMD points run on the table's own core: every timing
+        // they need is a kept table timing, claimed without a new walk.
+        let no_simd: Vec<Vec<BsaKind>> = all_bsa_subsets()
+            .into_iter()
+            .filter(|b| !b.contains(&BsaKind::Simd))
+            .collect();
+        let shared: std::collections::HashSet<ContentHash> = no_simd
+            .iter()
+            .map(|b| {
+                let a = oracle_pick(&table, &prepared.data, b);
+                session.shape_key(&prepared, &core, &a)
+            })
+            .collect();
+        let report = session.explore_grid(std::slice::from_ref(&prepared), &[core], &no_simd);
+        assert!(report.quarantined.is_empty());
+        let after = session.stats();
+        assert_eq!(after.trace_walks, shared.len() as u64, "{after:?}");
+        assert_eq!(
+            after.trace_walks + after.table_walks,
+            requests,
+            "claiming must not re-walk: {after:?}"
+        );
+        // Claimed walks are saved; the table's own never are.
+        assert_eq!(after.artifacts.recomputes, after.trace_walks, "{after:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

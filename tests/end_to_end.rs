@@ -2,9 +2,9 @@
 //! through tracing, IR reconstruction, BSA planning, scheduling, and
 //! combined-TDG evaluation.
 
-use prism::exocore::{amdahl_schedule, oracle_schedule, WorkloadData};
-use prism::tdg::{run_exocore, Assignment, BsaKind, ExecUnit};
-use prism::udg::{simulate_trace, CoreConfig};
+use prism::exocore::{all_cores, amdahl_schedule, oracle_schedule, WorkloadData};
+use prism::tdg::{price_exocore, run_exocore, run_exocore_timing, Assignment, BsaKind, ExecUnit};
+use prism::udg::{simulate_trace, try_simulate_trace, CoreConfig, ExecBudget};
 
 fn prepared(name: &str) -> WorkloadData {
     let w = prism::workloads::by_name(name).unwrap_or_else(|| panic!("{name} not registered"));
@@ -139,6 +139,37 @@ fn empty_assignment_reproduces_plain_core_everywhere() {
             assert_eq!(
                 run.unit_insts[ExecUnit::Gpp as usize],
                 data.trace.len() as u64
+            );
+        }
+    }
+}
+
+#[test]
+fn oracle_baseline_prices_the_plain_core_across_the_registry() {
+    // An oracle table's baseline is the empty assignment's trace-walk
+    // timing priced with no BSA present, so it can share the walk of the
+    // no-BSA design point; it must equal the plain-core model in cycles
+    // and energy bits on every kernel and core.
+    assert_eq!(prism::workloads::ALL.len(), 49);
+    for w in prism::workloads::ALL {
+        let data = WorkloadData::prepare(&w.build_default()).expect(w.name);
+        for core in all_cores() {
+            let plain = try_simulate_trace(&data.trace, &core, &ExecBudget::unlimited())
+                .expect("unlimited budget cannot trip");
+            let timing = run_exocore_timing(
+                &data.trace,
+                &data.ir,
+                &core,
+                &data.plans,
+                &Assignment::none(),
+            );
+            let priced = price_exocore(&timing, &core, &[]);
+            let at = format!("{}/{}", w.name, core.name);
+            assert_eq!(priced.cycles, plain.cycles, "{at}");
+            assert_eq!(
+                priced.energy.total().to_bits(),
+                plain.energy.total().to_bits(),
+                "{at}"
             );
         }
     }
