@@ -12,9 +12,8 @@
 //!
 //! - the **reader** (main thread) parses assignments from the input into a
 //!   queue, and answers artifact fetch/push frames from its local store,
-//! - the **prewarm** thread first pulls chunk 0 of each workload's trace
-//!   stream (cheap, bounded), then prepares traces/IR and oracle tables
-//!   for *queued* units while the evaluator is busy with earlier ones, so
+//! - the **prewarm** thread prepares traces/IR and oracle tables for
+//!   *queued* units while the evaluator is busy with earlier ones, so
 //!   a unit's expensive prepare phase overlaps the previous unit's
 //!   evaluate phase,
 //! - the **evaluator** pops units in order and reports one
@@ -330,7 +329,6 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         // units while the evaluator works on earlier ones. Failures are
         // ignored here — they resurface, typed, when the unit evaluates.
         scope.spawn(|| {
-            let mut prepared = false;
             let mut warmed: BTreeSet<String> = BTreeSet::new();
             loop {
                 let upcoming: Vec<String> = {
@@ -354,19 +352,6 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                         return;
                     }
                     continue;
-                }
-                if !prepared {
-                    // First touch: pull only chunk 0 of each workload's
-                    // trace stream, overlapping the simulator's warm-up
-                    // with other shards' evaluation without materializing
-                    // any full trace. Full preparation happens (and is
-                    // memoized) under the per-core warms below.
-                    for w in &workloads {
-                        let _ = catch_unwind(AssertUnwindSafe(|| {
-                            let _ = session.prewarm_chunk0(w);
-                        }));
-                    }
-                    prepared = true;
                 }
                 for core_name in upcoming {
                     if let Some(core) = parse_core(&core_name) {

@@ -273,12 +273,11 @@ fn scenario_resume_assigns_nothing() {
 }
 
 /// Tentpole equivalence property: the sweep over two localhost TCP
-/// daemons — with streaming evaluation on and a mid-sweep disconnect
-/// injected — produces the same report as a single-process run, with the
-/// disconnect surfacing as `recovered`, and leaves every store clean.
+/// daemons — with a mid-sweep disconnect injected — produces the same
+/// report as a single-process run, with the disconnect surfacing as
+/// `recovered`, and leaves every store clean.
 fn scenario_tcp_equivalence() {
     let token = "smoke-secret";
-    std::env::set_var("PRISM_STREAM", "1");
     std::env::set_var(NET_TOKEN_ENV, token);
     let dir_single = scratch_dir("tcp-single");
     let dir_coord = scratch_dir("tcp-coord");
@@ -341,7 +340,6 @@ fn scenario_tcp_equivalence() {
         assert!(report.is_clean(), "{dir:?}: {report:?}");
     }
 
-    std::env::remove_var("PRISM_STREAM");
     std::env::remove_var(NET_TOKEN_ENV);
     let _ = std::fs::remove_dir_all(&dir_single);
     let _ = std::fs::remove_dir_all(&dir_coord);
@@ -369,7 +367,6 @@ fn main() {
         "PRISM_NO_FSYNC",
         "PRISM_NET_TOKEN",
         "PRISM_HOSTS",
-        "PRISM_STREAM",
     ] {
         std::env::remove_var(var);
     }

@@ -24,8 +24,10 @@ use crate::hash::{ContentHash, Sha256};
 pub const KEY_SCHEMA_VERSION: u32 = 1;
 
 /// The on-disk artifact *envelope* version. v1: single-document payloads.
-/// v2: adds length-prefixed chunked trace artifacts; v1 files remain
-/// readable (the envelope shape is unchanged for non-chunk payloads).
+/// v2: added length-prefixed chunked trace artifacts, which are no longer
+/// written; chunk files from older builds stay valid envelopes that
+/// nothing reads. v1 files remain readable (the envelope shape is
+/// unchanged for non-chunk payloads).
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// The oldest envelope version the store still reads.

@@ -12,12 +12,12 @@
 //! canonical (input-index) order and a `--jobs 1` run is bit-identical to a
 //! `--jobs N` run.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use prism_exocore::{
     all_bsa_subsets, all_cores, oracle_pick, oracle_table_with, DesignPoint, DesignResult,
@@ -29,8 +29,7 @@ use prism_udg::{simulate_reference, simulate_trace, CoreConfig, ExecBudget, NODE
 use prism_workloads::{Suite, Workload};
 
 use crate::codec::{
-    decode_design_result, decode_exo_timing, decode_trace_chunk, encode_design_result,
-    encode_exo_timing, encode_trace_chunk,
+    decode_design_result, decode_exo_timing, encode_design_result, encode_exo_timing,
 };
 use crate::error::{PipelineError, Stage};
 use crate::fault::{crash_point, FaultPlan, Site, SITE_UNIT_COMPLETE};
@@ -100,9 +99,6 @@ pub struct SessionStats {
     /// excluding the trace walks (counted in `udg_nanos`) and store
     /// loads nested under them.
     pub schedule_nanos: u64,
-    /// Largest single in-flight trace chunk, in bytes — the streaming
-    /// architecture's memory high-water mark for trace storage.
-    pub peak_chunk_bytes: u64,
     /// Units settled from a sweep-journal replay instead of recomputed
     /// (completed *and* quarantined units both count).
     pub resumed: u64,
@@ -126,7 +122,6 @@ impl std::ops::AddAssign for SessionStats {
         self.udg_nanos += rhs.udg_nanos;
         self.transform_nanos += rhs.transform_nanos;
         self.schedule_nanos += rhs.schedule_nanos;
-        self.peak_chunk_bytes = self.peak_chunk_bytes.max(rhs.peak_chunk_bytes);
         self.resumed += rhs.resumed;
         self.replayed += rhs.replayed;
     }
@@ -159,7 +154,6 @@ impl SessionStats {
              sim throughput : {} insts in {} ms ({:.0} insts/sec)\n\
              stage wall     : sim {} ms, uDG {} ms, transforms {} ms, \
              schedule {} ms\n\
-             peak chunk     : {} bytes\n\
              journal        : {} units resumed, {} records replayed\n\
              tmp-file GC    : {} bytes reclaimed\n",
             a.hits,
@@ -183,7 +177,6 @@ impl SessionStats {
             self.udg_nanos / 1_000_000,
             self.transform_nanos / 1_000_000,
             self.schedule_nanos / 1_000_000,
-            self.peak_chunk_bytes,
             self.resumed,
             self.replayed,
             a.gc_reclaimed_bytes,
@@ -303,11 +296,6 @@ fn panic_stage(message: &str, default: Stage) -> Stage {
     default
 }
 
-/// Opt-in streaming mode: set (non-empty, non-`"0"`) to persist traces as
-/// length-prefixed chunk artifacts in the store, enabling per-chunk
-/// hashing, fault injection, prewarm, and chunk-level reuse across runs.
-pub const STREAM_ENV: &str = "PRISM_STREAM";
-
 /// Whether a design point has used a memoized trace-walk timing and, if
 /// not yet, how the oracle table that asked for it got it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -329,6 +317,37 @@ struct MemoTiming {
     claim: Claim,
 }
 
+/// The session's prepared-workload memo.
+#[derive(Debug, Default)]
+struct WorkloadMemo {
+    ready: HashMap<ContentHash, Arc<WorkloadData>>,
+    /// Keys some thread is preparing now. Other callers wait for it
+    /// instead of simulating the same trace a second time, which in a grid
+    /// worker (prewarm and evaluator threads preparing the same set) would
+    /// hold two copies of every trace at once.
+    in_flight: HashSet<ContentHash>,
+}
+
+/// Clears a key's in-flight mark when its preparation ends, by error or
+/// panic too, and wakes the waiters; they retry the key if it is still
+/// not ready.
+struct InFlight<'s> {
+    session: &'s Session,
+    key: ContentHash,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.session
+            .workloads
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .in_flight
+            .remove(&self.key);
+        self.session.workload_settled.notify_all();
+    }
+}
+
 /// The pipeline session: memoized stages + content-addressed artifacts +
 /// deterministic parallelism.
 #[derive(Debug)]
@@ -340,8 +359,8 @@ pub struct Session {
     faults: Option<Arc<FaultPlan>>,
     budget: ExecBudget,
     guard: Option<DivergenceGuard>,
-    streaming: bool,
-    workloads: Mutex<HashMap<ContentHash, Arc<WorkloadData>>>,
+    workloads: Mutex<WorkloadMemo>,
+    workload_settled: Condvar,
     tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
     timings: Mutex<HashMap<ContentHash, MemoTiming>>,
     memo_hits: AtomicU64,
@@ -405,9 +424,8 @@ impl Session {
             faults,
             budget,
             guard: DivergenceGuard::from_env(),
-            streaming: std::env::var(STREAM_ENV)
-                .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0"),
-            workloads: Mutex::new(HashMap::new()),
+            workloads: Mutex::new(WorkloadMemo::default()),
+            workload_settled: Condvar::new(),
             tables: Mutex::new(HashMap::new()),
             timings: Mutex::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
@@ -506,17 +524,6 @@ impl Session {
         self
     }
 
-    /// Enables (or disables) streaming mode: traces are persisted as
-    /// length-prefixed chunk artifacts and reloaded chunk-by-chunk on
-    /// later runs. Overrides `PRISM_STREAM`. Both modes record the trace
-    /// through the same chunked simulator loop — only persistence
-    /// differs, so reports are identical either way.
-    #[must_use]
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
     /// The session's worker count.
     #[must_use]
     pub fn jobs(&self) -> usize {
@@ -537,18 +544,6 @@ impl Session {
         kb.field("name", name);
         kb.field("n", n);
         kb.tracer(&self.tracer);
-        kb.finish()
-    }
-
-    /// The content key of trace chunk `index` of a prepared workload.
-    /// The chunk size is part of the key, so runs with different
-    /// `PRISM_CHUNK` settings never mix chunk boundaries.
-    #[must_use]
-    pub fn trace_chunk_key(&self, workload_key: &ContentHash, index: u64) -> ContentHash {
-        let mut kb = KeyBuilder::new("trace-chunk");
-        kb.hash_field("workload", workload_key);
-        kb.field("chunk_insts", prism_sim::chunk_size_from_env());
-        kb.field("index", index);
         kb.finish()
     }
 
@@ -579,18 +574,25 @@ impl Session {
         // Poison recovery: the memo holds plain data, so a panic in some
         // other thread that happened to hold the lock cannot have left it
         // half-updated — recover the guard instead of cascading the panic.
-        if let Some(data) = self
-            .workloads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(PreparedWorkload {
-                key,
-                data: Arc::clone(data),
-            });
+        let mut memo = self.workloads.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(data) = memo.ready.get(&key) {
+                self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(PreparedWorkload {
+                    key,
+                    data: Arc::clone(data),
+                });
+            }
+            if memo.in_flight.insert(key) {
+                break;
+            }
+            memo = self
+                .workload_settled
+                .wait(memo)
+                .unwrap_or_else(|e| e.into_inner());
         }
+        drop(memo);
+        let _in_flight = InFlight { session: self, key };
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         if let Some(f) = &self.faults {
             f.maybe_panic(Stage::Build, name);
@@ -609,7 +611,7 @@ impl Session {
                 ));
             }
         }
-        let trace = self.record_trace(&key, &program, name)?;
+        let trace = self.record_trace(&program, name)?;
         let started = std::time::Instant::now();
         let data = Arc::new(WorkloadData::from_trace(trace));
         self.transform_nanos
@@ -617,29 +619,19 @@ impl Session {
         self.workloads
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+            .ready
             .insert(key, Arc::clone(&data));
         Ok(PreparedWorkload { key, data })
     }
 
-    /// Records `program`'s trace chunk-by-chunk from the streaming
-    /// simulator, applying per-chunk fault injection (`{name}:chunk{i}`
-    /// sites) and, in streaming mode, persisting each chunk to the store
-    /// (after first trying to replay a previously stored chunk sequence).
-    ///
-    /// Both modes run the same chunked loop — the materialized `Trace` is
-    /// assembled from the chunks either way, so downstream results do not
-    /// depend on the mode.
+    /// Records `program`'s trace chunk-by-chunk from the simulator,
+    /// applying per-chunk fault injection (`{name}:chunk{i}` sites), and
+    /// assembles the chunks into one materialized [`Trace`].
     fn record_trace(
         &self,
-        workload_key: &ContentHash,
         program: &prism_isa::Program,
         name: &str,
     ) -> Result<Trace, PipelineError> {
-        if self.streaming {
-            if let Some(trace) = self.load_chunked_trace(workload_key, program) {
-                return Ok(trace);
-            }
-        }
         let mut source =
             SimSource::new(program, &self.tracer).map_err(|e| PipelineError::trace(name, &e))?;
         let started = std::time::Instant::now();
@@ -660,10 +652,6 @@ impl Session {
                     ));
                 }
             }
-            if self.streaming {
-                let ck = self.trace_chunk_key(workload_key, chunk.index);
-                self.store.save(&ck, encode_trace_chunk(&chunk));
-            }
             stats = chunk.stats;
             let last = chunk.last;
             insts.extend(chunk.insts);
@@ -679,77 +667,6 @@ impl Session {
             insts,
             stats,
         })
-    }
-
-    /// Replays a previously persisted chunk sequence from the store, or
-    /// `None` when any chunk is missing, fails to decode, or breaks seq
-    /// contiguity (the caller then re-simulates from scratch).
-    fn load_chunked_trace(
-        &self,
-        workload_key: &ContentHash,
-        program: &prism_isa::Program,
-    ) -> Option<Trace> {
-        let mut insts = Vec::new();
-        let mut stats = prism_sim::TraceStats::default();
-        for index in 0.. {
-            let ck = self.trace_chunk_key(workload_key, index);
-            let chunk = decode_trace_chunk(&self.store.load(&ck)?)?;
-            if chunk.index != index || chunk.first_seq != insts.len() as u64 {
-                return None;
-            }
-            stats = chunk.stats;
-            let last = chunk.last;
-            insts.extend(chunk.insts);
-            if last {
-                break;
-            }
-        }
-        Some(Trace {
-            program: program.clone(),
-            insts,
-            stats,
-        })
-    }
-
-    /// Produces (and, in streaming mode, persists) only the *first* chunk
-    /// of `workload`'s trace — enough for a grid worker to overlap
-    /// simulation with another shard's evaluation without materializing
-    /// the stream. A no-op when the workload is already memoized.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] when the program fails validation or
-    /// execution.
-    pub fn prewarm_chunk0(&self, workload: &Workload) -> Result<(), PipelineError> {
-        let n = workload.scaled_n();
-        let key = self.workload_key(workload.name, n);
-        if self
-            .workloads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&key)
-        {
-            return Ok(());
-        }
-        let program = (workload.build)(n);
-        let mut source = SimSource::new(&program, &self.tracer)
-            .map_err(|e| PipelineError::trace(workload.name, &e))?;
-        let started = std::time::Instant::now();
-        match source.next_chunk() {
-            Ok(Some(chunk)) => {
-                self.sim_insts
-                    .fetch_add(chunk.insts.len() as u64, Ordering::Relaxed);
-                self.sim_nanos
-                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if self.streaming {
-                    let ck = self.trace_chunk_key(&key, chunk.index);
-                    self.store.save(&ck, encode_trace_chunk(&chunk));
-                }
-                Ok(())
-            }
-            Ok(None) => Ok(()),
-            Err(e) => Err(PipelineError::trace(workload.name, &e)),
-        }
     }
 
     /// Prepares a registered workload at its default size, multiplied by
@@ -1592,7 +1509,6 @@ impl Session {
             udg_nanos: self.udg_nanos.load(Ordering::Relaxed),
             transform_nanos: self.transform_nanos.load(Ordering::Relaxed),
             schedule_nanos: self.schedule_nanos.load(Ordering::Relaxed),
-            peak_chunk_bytes: prism_sim::peak_chunk_bytes(),
             resumed: self.resumed.load(Ordering::Relaxed),
             replayed: self.replayed.load(Ordering::Relaxed),
         }
@@ -1619,7 +1535,6 @@ mod tests {
             .with_faults(None)
             .with_budget(ExecBudget::unlimited())
             .with_divergence_guard(None)
-            .with_streaming(false)
     }
 
     #[test]
@@ -1641,6 +1556,52 @@ mod tests {
         );
         let s = session.stats();
         assert_eq!((s.memo_hits, s.memo_misses), (1, 1));
+    }
+
+    /// Runs `f` on `threads` threads released together by a barrier.
+    fn together<R: Send>(threads: usize, f: impl Fn() -> R + Sync) -> Vec<R> {
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        f()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("thread panicked"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_prepares_of_one_workload_simulate_it_once() {
+        let session = clean_session();
+        let w = &prism_workloads::MICRO[0];
+        let prepared = together(4, || session.prepare(w).expect("prepare"));
+        assert!(prepared
+            .iter()
+            .all(|p| Arc::ptr_eq(&p.data, &prepared[0].data)));
+        let s = session.stats();
+        assert_eq!((s.memo_hits, s.memo_misses), (3, 1));
+        assert_eq!(s.sim_insts, prepared[0].trace.len() as u64);
+    }
+
+    #[test]
+    fn a_panicking_prepare_releases_its_waiters() {
+        let plan = FaultPlan::parse("build.panic@1").expect("valid spec");
+        let session = clean_session().with_faults(Some(Arc::new(plan)));
+        let w = &prism_workloads::MICRO[0];
+        let ok = together(2, || {
+            catch_unwind(AssertUnwindSafe(|| session.prepare(w))).is_ok_and(|r| r.is_ok())
+        });
+        // One caller takes the injected panic; the other then prepares
+        // the workload itself instead of waiting forever.
+        assert_eq!(ok.iter().filter(|&&ok| ok).count(), 1, "{ok:?}");
+        assert_eq!(session.stats().memo_misses, 2);
     }
 
     #[test]
@@ -1791,40 +1752,6 @@ mod tests {
         assert!(g.selects(&key, "OOO2"));
         let sparse = DivergenceGuard::new(0.1, 1_000_000_007);
         assert!(!sparse.selects(&key, "OOO2") || !sparse.selects(&key, "OOO4"));
-    }
-
-    #[test]
-    fn prewarm_chunk0_is_cheap_and_idempotent() {
-        let session = clean_session();
-        let w = &prism_workloads::MICRO[0];
-        session.prewarm_chunk0(w).expect("prewarm");
-        let after_prewarm = session.stats().sim_insts;
-        assert!(after_prewarm > 0, "prewarm must simulate something");
-        let prepared = session.prepare(w).expect("prepare");
-        let after_prepare = session.stats().sim_insts;
-        assert!(after_prepare >= prepared.trace.len() as u64);
-        // Memoized now: prewarm is a no-op.
-        session.prewarm_chunk0(w).expect("prewarm");
-        assert_eq!(session.stats().sim_insts, after_prepare);
-    }
-
-    #[test]
-    fn trace_chunk_keys_are_distinct_per_index() {
-        let session = clean_session();
-        let wk = session.workload_key("x", 100);
-        assert_ne!(
-            session.trace_chunk_key(&wk, 0),
-            session.trace_chunk_key(&wk, 1)
-        );
-        assert_eq!(
-            session.trace_chunk_key(&wk, 0),
-            session.trace_chunk_key(&wk, 0)
-        );
-        let other = session.workload_key("y", 100);
-        assert_ne!(
-            session.trace_chunk_key(&wk, 0),
-            session.trace_chunk_key(&other, 0)
-        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use prism_pipeline::{DivergenceGuard, ErrorKind, FaultPlan, Session, Stage, SweepReport};
-use prism_sim::TracerConfig;
+use prism_pipeline::{DivergenceGuard, ErrorKind, FaultPlan, Session, Site, Stage, SweepReport};
+use prism_sim::{TracerConfig, DEFAULT_CHUNK_INSTS};
 use prism_tdg::BsaKind;
 use prism_udg::{CoreConfig, ExecBudget};
 use prism_workloads::{Workload, MICRO};
@@ -121,6 +121,62 @@ fn total_trace_truncation_fails_everything_with_typed_errors() {
         assert_eq!(err.kind, ErrorKind::Failed, "{err}");
         assert!(err.message.contains("truncated"), "{err}");
     }
+}
+
+#[test]
+fn mid_stream_truncation_quarantines_only_the_truncated_workload() {
+    // `mm` at its default size records more than one chunk at the default
+    // chunk size, so a truncation on `mm:chunk1` lands mid-stream, after
+    // the `mm` gate and chunk 0 have passed.
+    let long = prism_workloads::by_name("mm").expect("mm is registered");
+    let insts = prism_sim::trace(&(long.build)(long.scaled_n()))
+        .expect("mm traces")
+        .len();
+    assert!(
+        insts > DEFAULT_CHUNK_INSTS,
+        "mm records {insts} insts, fewer than 2 chunks of {DEFAULT_CHUNK_INSTS}"
+    );
+
+    // Fault rolls are pure in (seed, site): pick a seed that truncates
+    // `mm:chunk1` and leaves every other trace site alone.
+    let truncating = |seed: u64| {
+        FaultPlan::parse(&format!("trace.truncate~0.05,seed={seed}")).expect("valid spec")
+    };
+    let others = micro_set();
+    let seed = (0..5000)
+        .find(|&seed| {
+            let plan = truncating(seed);
+            let spared = |name: &str| {
+                !plan.rolls(Site::TraceTruncate, name)
+                    && (0..4).all(|i| !plan.rolls(Site::TraceTruncate, &format!("{name}:chunk{i}")))
+            };
+            plan.rolls(Site::TraceTruncate, "mm:chunk1")
+                && !plan.rolls(Site::TraceTruncate, "mm")
+                && !plan.rolls(Site::TraceTruncate, "mm:chunk0")
+                && others.iter().all(|w| spared(w.name))
+        })
+        .expect("some seed in 0..5000 truncates only mm:chunk1");
+
+    let (cores, subsets) = small_grid();
+    let healthy = clean_session("midstream-ref")
+        .with_tracer(TracerConfig::default())
+        .evaluate_designs(&others, &cores, &subsets);
+    assert!(healthy.quarantined.is_empty(), "{:?}", healthy.quarantined);
+
+    let mut workloads = vec![long];
+    workloads.extend(&others);
+    let report = clean_session("midstream")
+        .with_tracer(TracerConfig::default())
+        .with_faults(Some(Arc::new(truncating(seed))))
+        .evaluate_designs(&workloads, &cores, &subsets);
+
+    assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
+    let (key, err) = &report.quarantined[0];
+    assert_eq!(key, "workload:mm");
+    assert_eq!(err.stage, Stage::Trace, "{err}");
+    assert!(err.message.contains("truncated at chunk 1"), "{err}");
+    // The surviving points cover exactly the other workloads.
+    assert_eq!(report.results, healthy.results);
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! `Session` sweep reports must be **byte-identical** to the direct
 //! oracle (`prism_exocore::evaluate_point`: one whole-trace `run_exocore`
 //! per workload, no timing memo, no shape key, no store) — under plain
-//! runs, under fault injection, under streaming mode and under execution
-//! budgets. The session walks each distinct µDG shape once and re-prices
-//! the shared `ExoTiming` per BSA subset; pricing preserves
+//! runs, under fault injection and under execution budgets. The session
+//! walks each distinct µDG shape once and re-prices the shared
+//! `ExoTiming` per BSA subset; pricing preserves
 //! float-operation order, so not even a ULP may differ, and a shape key
 //! that merged two different walks shows up as a mismatch.
 
@@ -34,7 +34,6 @@ fn session(tag: &str) -> Session {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_streaming(false)
         .with_store_dir(dir)
 }
 
@@ -48,7 +47,7 @@ fn grid() -> (Vec<CoreConfig>, Vec<Vec<BsaKind>>) {
     (prism_exocore::all_cores(), prism_exocore::all_bsa_subsets())
 }
 
-/// A reduced grid for the fault/streaming/budget variants (the
+/// A reduced grid for the fault/budget variants (the
 /// orthogonality they exercise does not depend on grid size, and this
 /// test binary must stay fast on single-core CI hosts).
 fn small_grid() -> (Vec<CoreConfig>, Vec<Vec<BsaKind>>) {
@@ -115,19 +114,6 @@ fn faulted_sweep_matches_direct_oracle() {
     for r in &report.results {
         assert_eq!(r.per_workload.len(), workloads.len() - truncated);
     }
-    common::assert_matches_direct(&report, &workloads, &cores, &quick_tracer());
-}
-
-#[test]
-fn streaming_sweep_matches_direct_oracle() {
-    // As if via PRISM_STREAM=1: chunked trace persistence must not
-    // disturb the memoized path.
-    let workloads = full_registry();
-    let (cores, subsets) = small_grid();
-    let report = session("stream")
-        .with_streaming(true)
-        .evaluate_designs(&workloads, &cores, &subsets);
-    assert!(report.quarantined.is_empty(), "healthy sweep expected");
     common::assert_matches_direct(&report, &workloads, &cores, &quick_tracer());
 }
 

@@ -32,7 +32,6 @@ fn session_at(dir: &std::path::Path) -> Session {
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
         .with_divergence_guard(None)
-        .with_streaming(false)
         .with_store_cap(None)
         .with_store_dir(dir)
 }
@@ -178,17 +177,16 @@ fn corrupt_timing_artifacts_degrade_to_recompute() {
 }
 
 #[test]
-fn streamed_faulted_sweep_matches_direct_oracle() {
-    // As if via PRISM_STREAM=1 + site-seeded PRISM_FAULTS: injected
-    // store I/O failures and artifact corruption hit the timing cache
-    // too, and must only ever degrade it to recompute.
+fn store_faulted_sweep_matches_direct_oracle() {
+    // As if via site-seeded PRISM_FAULTS: injected store I/O failures and
+    // artifact corruption hit the timing cache too, and must only ever
+    // degrade it to recompute.
     let plan = FaultPlan::parse("store.io~0.05,store.corrupt~0.10,seed=11").expect("valid spec");
     let workloads = registry();
     let cores = vec![CoreConfig::io2(), io2_twin()];
     let subsets = small_subsets();
 
     let report = session_at(&fresh_dir("faults"))
-        .with_streaming(true)
         .with_faults(Some(std::sync::Arc::new(plan)))
         .evaluate_designs(&workloads, &cores, &subsets);
     assert!(report.quarantined.is_empty(), "these faults only degrade");

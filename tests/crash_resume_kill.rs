@@ -94,8 +94,7 @@ fn child_explore() -> ! {
         .with_store_dir(PathBuf::from(store))
         .with_faults(None)
         .with_budget(ExecBudget::unlimited())
-        .with_divergence_guard(None)
-        .with_streaming(false);
+        .with_divergence_guard(None);
     let (cores, subsets) = small_grid();
     let report = session.evaluate_designs_resumable(&micro_set(), &cores, &subsets, resume);
     print_report(&report);
@@ -344,7 +343,6 @@ fn main() {
     // environment) from ambient knobs like the CI fault matrix.
     for var in [
         "PRISM_FAULTS",
-        "PRISM_STREAM",
         "PRISM_JOBS",
         "PRISM_ARTIFACT_DIR",
         "PRISM_WORKERS",
@@ -352,7 +350,6 @@ fn main() {
         "PRISM_STORE_CAP",
         "PRISM_DIVERGENCE",
         "PRISM_MAX_NODES",
-        "PRISM_CHUNK",
         "PRISM_GRID_TIMEOUT_MS",
         "PRISM_NO_FSYNC",
         "PRISM_NET_TOKEN",
