@@ -4,16 +4,25 @@
 //! different shard, reassigns the in-flight units of dead workers, and
 //! merges every shard's [`SweepReport`] into one.
 //!
+//! Every unit has a fixed **home shard**: the core-major unit order, with
+//! cores of one [timing class](CoreConfig::timing_class) next to each
+//! other, is cut into `shards` contiguous ranges. The units of one core
+//! share most of their µDG timing shapes and oracle tables, so a home
+//! shard walks each shape once, as a single-process sweep does. A unit
+//! whose home is dead, or has already failed it, goes to the
+//! least-loaded eligible shard; a busy home makes the unit wait.
+//!
 //! Local workers are re-invocations of the current executable with
 //! `PRISM_GRID_WORKER=1` (see [`crate::worker`]); they share one
 //! content-addressed artifact store, whose write-then-rename protocol
 //! with per-process temp names makes concurrent writers safe. Remote
 //! workers (`prism worker --listen`, reached via
-//! [`GridConfig::hosts`]) have their *own* store; the v2 protocol ships
-//! result artifacts back by content hash, and anything not shipped is
-//! simply recomputed from the journal on resume. Because every unit is
-//! keyed identically in every process, a grid run and a single-process
-//! run produce byte-identical merged reports (after
+//! [`GridConfig::hosts`]) have their *own* store; the protocol ships
+//! each unit's design-point artifact back by content hash, and anything
+//! not shipped is simply recomputed from the journal on resume. A re-run
+//! places every unit on the same host as before, whose store answers it.
+//! Because every unit is keyed identically in every process, a grid run
+//! and a single-process run produce byte-identical merged reports (after
 //! [`SweepReport::normalize`]) on a healthy fleet — wherever the shards
 //! ran.
 //!
@@ -22,7 +31,8 @@
 //! normalization promotes it to [`SweepReport::recovered`], so fleet
 //! trouble is visible in the merged report without changing its results.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::mpsc;
@@ -41,7 +51,7 @@ use prism_tdg::BsaKind;
 use prism_udg::CoreConfig;
 use prism_workloads::Workload;
 
-use crate::proto::{FromWorker, ToWorker, PROTO_VERSION};
+use crate::proto::{FromWorker, ToWorker, WalkCounts, PROTO_VERSION};
 use crate::worker::{SHARD_ENV, WORKER_ENV};
 use crate::WORKERS_ENV;
 
@@ -54,6 +64,10 @@ pub const GRID_TIMEOUT_ENV: &str = "PRISM_GRID_TIMEOUT_MS";
 /// shard slot is given up for dead. Each attempt is itself a bounded
 /// backoff dial sequence (see [`prism_net::RECONNECT_ATTEMPTS`]).
 const LINK_RECONNECTS: u32 = 3;
+
+/// Outstanding assignments per worker: 2 keeps the next unit's prepare
+/// phase overlapping the current unit's evaluate phase.
+const WINDOW: usize = 2;
 
 /// Parses a heartbeat-timeout override (integer milliseconds, ≥ 1).
 ///
@@ -111,9 +125,6 @@ pub struct GridConfig {
     pub worker_cmd: Option<PathBuf>,
     /// A worker silent for this long is presumed dead and killed.
     pub heartbeat_timeout: Duration,
-    /// Outstanding assignments per worker: 2 keeps the next unit's
-    /// prepare phase overlapping the current unit's evaluate phase.
-    pub window: usize,
     /// Extra environment for workers (test hook, e.g. grid faults).
     pub env: Vec<(String, String)>,
     /// Environment variables removed from workers (test hook).
@@ -145,7 +156,6 @@ impl GridConfig {
             artifact_dir: ArtifactStore::default_dir(),
             worker_cmd: None,
             heartbeat_timeout: grid_timeout_from_env(),
-            window: 2,
             env: Vec::new(),
             env_remove: Vec::new(),
             net_faults: NetFaultPlan(FaultPlan::from_env()),
@@ -165,16 +175,10 @@ pub struct HostStats {
     pub recoveries: usize,
     /// Successful link reconnects.
     pub reconnects: usize,
-    /// Artifact bytes shipped over this link (both directions).
+    /// Artifact bytes shipped over this link.
     pub bytes_shipped: u64,
-    /// Trace walks this host performed (from its `Bye` counters).
-    pub walks: u64,
-    /// Walks this host skipped via the timing-reuse layer.
-    pub walks_skipped: u64,
-    /// In-memory shape-keyed timing memo hits on this host.
-    pub shape_memo_hits: u64,
-    /// Timing summaries this host loaded from its artifact store.
-    pub timing_artifacts_loaded: u64,
+    /// This host's walk counters (from its `Bye` frames).
+    pub counts: WalkCounts,
 }
 
 /// Counters describing how a grid run went.
@@ -200,20 +204,34 @@ pub struct GridStats {
     pub replayed: usize,
     /// Bytes reclaimed by the opportunistic orphaned-tmp-file GC.
     pub gc_reclaimed_bytes: u64,
-    /// Trace walks performed across every shard that reported counters
-    /// (worker `Bye` frames plus the local fallback session).
-    pub walks: u64,
-    /// Walks skipped run-wide via the timing-reuse layer.
-    pub walks_skipped: u64,
-    /// Shape-keyed timing memo hits run-wide.
-    pub shape_memo_hits: u64,
-    /// Timing summaries loaded from artifact stores run-wide.
-    pub timing_artifacts_loaded: u64,
+    /// Walk counters summed over every shard that reported them (worker
+    /// `Bye` frames plus the local fallback session).
+    pub counts: WalkCounts,
     /// Per-remote-host counters, in [`GridConfig::hosts`] order.
     pub hosts: Vec<HostStats>,
 }
 
+/// The run-wide walk counters read as fields of the stats:
+/// `stats.walks` is `stats.counts.walks`. The `benchmark/` package
+/// reads the counters this way.
+impl Deref for GridStats {
+    type Target = WalkCounts;
+
+    fn deref(&self) -> &WalkCounts {
+        &self.counts
+    }
+}
+
 impl GridStats {
+    /// Adds one session's walk counters to the run totals and, for a
+    /// remote shard, to its host's.
+    fn fold(&mut self, host: Option<usize>, counts: WalkCounts) {
+        self.counts += counts;
+        if let Some(h) = host {
+            self.hosts[h].counts += counts;
+        }
+    }
+
     /// Renders the counters as a human-readable block (for `--stats`).
     #[must_use]
     pub fn render(&self) -> String {
@@ -223,7 +241,8 @@ impl GridStats {
              units   : {} total, {} retried, {} reassigned, {} local\n\
              journal : {} units resumed, {} records replayed\n\
              gc      : {} bytes reclaimed\n\
-             walks   : {} performed, {} skipped ({} shape-memo hits, {} timing artifacts loaded)\n",
+             walks   : {} performed, {} skipped ({} shape-memo hits, {} timing artifacts loaded)\n\
+             table walks : {} performed, {} loaded\n",
             self.workers_spawned,
             self.workers_died,
             self.units_total,
@@ -237,20 +256,26 @@ impl GridStats {
             self.walks_skipped,
             self.shape_memo_hits,
             self.timing_artifacts_loaded,
+            self.table_walks,
+            self.table_timings_loaded,
         );
         for host in &self.hosts {
+            let c = &host.counts;
             text.push_str(&format!(
                 "host {} : {} units, {} recovered, {} reconnects, {} bytes shipped, \
-                 {} walks, {} skipped ({} shape-memo, {} artifacts)\n",
+                 {} walks, {} skipped ({} shape-memo, {} artifacts), \
+                 {} table walks, {} table loads\n",
                 host.addr,
                 host.units,
                 host.recoveries,
                 host.reconnects,
                 host.bytes_shipped,
-                host.walks,
-                host.walks_skipped,
-                host.shape_memo_hits,
-                host.timing_artifacts_loaded,
+                c.walks,
+                c.walks_skipped,
+                c.shape_memo_hits,
+                c.timing_artifacts_loaded,
+                c.table_walks,
+                c.table_timings_loaded,
             ));
         }
         text
@@ -296,16 +321,12 @@ struct Unit {
     subset_idx: usize,
     core_name: String,
     bsa_codes: String,
+    /// The shard this unit is placed on while that shard is alive and
+    /// has not failed it.
+    home: usize,
     attempts: usize,
     failed_on: Vec<usize>,
     resolved: bool,
-    /// Shard this unit was journaled as assigned to (advisory): a
-    /// resumed coordinator prefers the recorded placement so a re-run
-    /// repeats the prior plan instead of re-planning from scratch.
-    planned: Option<usize>,
-    /// Shard the last `assigned` journal record names, to avoid
-    /// re-journaling an unchanged placement.
-    assign_logged: Option<usize>,
 }
 
 /// Coordinator-side view of one worker (local subprocess or remote link).
@@ -451,9 +472,20 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     };
     let token = std::env::var(NET_TOKEN_ENV).unwrap_or_default();
 
-    // The unit space, in the same core-major order as `explore_grid`.
-    let mut units: Vec<Unit> = Vec::with_capacity(config.cores.len() * config.subsets.len());
-    for (core_idx, core) in config.cores.iter().enumerate() {
+    // The unit space in core-major order, cores of one timing class
+    // adjacent (a stable sort on the class's first position), cut into
+    // one contiguous home range per shard.
+    let total_shards = config.workers + config.hosts.len();
+    let class_rank = |core: &CoreConfig| {
+        let class = core.timing_class();
+        config.cores.iter().position(|c| c.timing_class() == class)
+    };
+    let mut core_order: Vec<usize> = (0..config.cores.len()).collect();
+    core_order.sort_by_key(|&i| class_rank(&config.cores[i]));
+    let unit_count = config.cores.len() * config.subsets.len();
+    let mut units: Vec<Unit> = Vec::with_capacity(unit_count);
+    for core_idx in core_order {
+        let core = &config.cores[core_idx];
         for (subset_idx, subset) in config.subsets.iter().enumerate() {
             units.push(Unit {
                 label: DesignPoint::new(core.clone(), subset.clone()).label(),
@@ -461,17 +493,15 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                 subset_idx,
                 core_name: core.name.clone(),
                 bsa_codes: subset.iter().map(|b| b.code()).collect(),
+                home: units.len() * total_shards / unit_count,
                 attempts: 0,
                 failed_on: Vec::new(),
                 resolved: false,
-                planned: None,
-                assign_logged: None,
             });
         }
     }
 
     let (tx, rx) = mpsc::channel();
-    let total_shards = config.workers + config.hosts.len();
     let mut workers: Vec<WorkerState> = Vec::with_capacity(total_shards);
     let mut stats = GridStats {
         units_total: units.len(),
@@ -506,9 +536,6 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     let journal = match SweepJournal::open(&config.artifact_dir, &sweep, config.resume) {
         Ok((journal, replay)) => {
             for unit in &mut units {
-                if let Some(&shard) = replay.assigned.get(&unit.label) {
-                    unit.planned = Some(shard as usize);
-                }
                 if let Some(result) = replay.done.get(&unit.label) {
                     replay_report.results.push(result.clone());
                 } else if let Some(error) = replay.quarantined.get(&unit.label) {
@@ -619,34 +646,6 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
         }
     }
 
-    // Push-side artifact warming for remote shards: the design-point key
-    // each unit will settle into, assuming every workload is healthy. A
-    // mismatch (some workload quarantined) just makes the push useless —
-    // correctness never depends on shipped artifacts.
-    let key_session = if config.hosts.is_empty() {
-        None
-    } else {
-        Some(
-            Session::new()
-                .with_tracer(tracer)
-                .with_store_dir(&config.artifact_dir),
-        )
-    };
-    let push_keys: Option<Vec<ContentHash>> = key_session.as_ref().map(|session| {
-        wl_sizes
-            .iter()
-            .map(|(name, n)| session.workload_key(name, *n))
-            .collect()
-    });
-    // Timing artifacts learned from settled units, grouped by core index:
-    // cores that differ only in priced parameters share a timing shape
-    // key, so a walk shipped back by one shard warms every later assign
-    // of a shape-sharing core on any other shard. Per-shard sent-sets
-    // keep the push one-shot per (artifact, shard).
-    let mut learned_timing: HashMap<usize, Vec<ContentHash>> = HashMap::new();
-    let mut timing_sent: Vec<HashSet<ContentHash>> =
-        (0..workers.len()).map(|_| HashSet::new()).collect();
-
     let mut shard_reports: Vec<SweepReport> =
         (0..workers.len()).map(|_| SweepReport::default()).collect();
     let mut fetch_pending: Vec<usize> = vec![0; workers.len()];
@@ -655,105 +654,45 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     let mut resolved = units.iter().filter(|u| u.resolved).count();
 
     while resolved + local_queue.len() < units.len() {
-        // Dispatch: fill every live worker's window, preferring the
-        // journaled placement on resume, routing retries away from
-        // shards they already failed on; units with no eligible shard
-        // left fall back to local evaluation.
+        // Dispatch: fill every live worker's window. A unit goes to its
+        // home shard, waiting while the home is busy; a unit whose home
+        // is dead or has failed it goes to the least-loaded shard that
+        // has not; units with no such shard left fall back to local
+        // evaluation.
         let mut still_pending = VecDeque::new();
         while let Some(uid) = pending.pop_front() {
-            if units[uid].resolved {
+            let unit = &units[uid];
+            if unit.resolved {
                 continue;
             }
-            let eligible = |shard: usize, w: &WorkerState| {
-                w.alive
-                    && w.inflight.len() < config.window
-                    && !units[uid].failed_on.contains(&shard)
+            let open = |shard: usize| workers[shard].alive && !unit.failed_on.contains(&shard);
+            let pick = if open(unit.home) {
+                (workers[unit.home].inflight.len() < WINDOW).then_some(unit.home)
+            } else {
+                (0..workers.len())
+                    .filter(|&shard| open(shard) && workers[shard].inflight.len() < WINDOW)
+                    .min_by_key(|&shard| workers[shard].inflight.len())
             };
-            let pick = units[uid]
-                .planned
-                .filter(|&s| s < workers.len() && eligible(s, &workers[s]))
-                .or_else(|| {
-                    workers
-                        .iter()
-                        .enumerate()
-                        .filter(|&(shard, w)| eligible(shard, w))
-                        .min_by_key(|(_, w)| w.inflight.len())
-                        .map(|(shard, _)| shard)
-                });
-            match pick {
-                Some(shard) => {
-                    // Warm a remote shard's store with the artifact this
-                    // unit would settle into, if we already have it.
-                    if let (Some(session), Some(wkeys), Some(h)) =
-                        (&key_session, &push_keys, workers[shard].host)
-                    {
-                        let akey = session.design_point_key(
-                            wkeys,
-                            &config.cores[units[uid].core_idx],
-                            &config.subsets[units[uid].subset_idx],
-                        );
-                        if let Some(doc) = store.export(&akey) {
-                            stats.hosts[h].bytes_shipped += doc.len() as u64;
-                            let push = ToWorker::Artifact {
-                                key: akey.hex(),
-                                doc,
-                            };
-                            let _ = workers[shard].link.send_line(&push.encode());
-                        }
-                        // Ship any timing walks already learned for this
-                        // unit's core, so the shard prices instead of
-                        // re-walking. Missing or stale docs just mean the
-                        // worker recomputes — never a correctness risk.
-                        if let Some(keys) = learned_timing.get(&units[uid].core_idx) {
-                            for tkey in keys {
-                                if timing_sent[shard].contains(tkey) {
-                                    continue;
-                                }
-                                if let Some(doc) = store.export(tkey) {
-                                    stats.hosts[h].bytes_shipped += doc.len() as u64;
-                                    let push = ToWorker::Artifact {
-                                        key: tkey.hex(),
-                                        doc,
-                                    };
-                                    let _ = workers[shard].link.send_line(&push.encode());
-                                    timing_sent[shard].insert(*tkey);
-                                }
-                            }
-                        }
-                    }
-                    let msg = ToWorker::Assign {
-                        id: uid as u64,
-                        core: units[uid].core_name.clone(),
-                        bsas: units[uid].bsa_codes.clone(),
-                    }
-                    .encode();
-                    if workers[shard].link.send_line(&msg).is_ok() {
-                        workers[shard].inflight.push(uid);
-                        if units[uid].assign_logged != Some(shard) {
-                            units[uid].assign_logged = Some(shard);
-                            if let Some(j) = &journal {
-                                if let Err(e) = j.append_assigned(&units[uid].label, shard as u64) {
-                                    eprintln!("[prism-grid] journal append failed: {e}");
-                                }
-                            }
-                        }
-                    } else {
-                        // Write failure: the worker is dying; its Eof event
-                        // will handle the cleanup. Try again next round.
-                        still_pending.push_back(uid);
-                    }
+            let Some(shard) = pick else {
+                if (0..workers.len()).any(open) {
+                    still_pending.push_back(uid); // workers busy; wait
+                } else {
+                    local_queue.push(uid);
                 }
-                None => {
-                    let possible = workers
-                        .iter()
-                        .enumerate()
-                        .any(|(shard, w)| w.alive && !units[uid].failed_on.contains(&shard));
-                    if possible {
-                        still_pending.push_back(uid); // workers busy; wait
-                    } else {
-                        local_queue.push(uid);
-                    }
-                }
+                continue;
+            };
+            let msg = ToWorker::Assign {
+                id: uid as u64,
+                core: unit.core_name.clone(),
+                bsas: unit.bsa_codes.clone(),
+            }
+            .encode();
+            if workers[shard].link.send_line(&msg).is_ok() {
+                workers[shard].inflight.push(uid);
+            } else {
+                // Write failure: the worker is dying; its Eof event
+                // will handle the cleanup. Try again next round.
+                still_pending.push_back(uid);
             }
         }
         pending = still_pending;
@@ -787,25 +726,21 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                 };
                 match msg {
                     FromWorker::HelloAck { .. } | FromWorker::Heartbeat { .. } => {}
-                    FromWorker::Bye {
-                        walks,
-                        walks_skipped,
-                        shape_memo_hits,
-                        timing_artifacts_loaded,
-                    } => {
-                        fold_walk_stats(
+                    msg @ (FromWorker::Bye { .. } | FromWorker::Artifact { .. }) => {
+                        absorb_frame(
+                            shard,
+                            msg,
+                            &workers,
+                            &store,
+                            &mut shard_reports,
+                            &mut fetch_pending,
                             &mut stats,
-                            workers[shard].host,
-                            walks,
-                            walks_skipped,
-                            shape_memo_hits,
-                            timing_artifacts_loaded,
                         );
                     }
                     FromWorker::UnitResult {
                         id,
                         result,
-                        artifacts,
+                        artifact,
                     } => {
                         // Kill point: the unit's artifact is durable (the
                         // worker stored it before reporting) but nothing is
@@ -827,45 +762,16 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                             }
                         }
                         shard_reports[shard].results.push(result);
-                        // Learn the unit's timing shape keys — every
-                        // reported artifact beyond the design-point
-                        // result — so later assigns of shape-sharing
-                        // cores are warmed push-side.
-                        if let (Some(session), Some(wkeys)) = (&key_session, &push_keys) {
-                            if uid < units.len() {
-                                let akey = session.design_point_key(
-                                    wkeys,
-                                    &config.cores[units[uid].core_idx],
-                                    &config.subsets[units[uid].subset_idx],
-                                );
-                                let learned =
-                                    learned_timing.entry(units[uid].core_idx).or_default();
-                                for k in &artifacts {
-                                    if let Some(hash) = ContentHash::from_hex(k) {
-                                        if hash != akey && !learned.contains(&hash) {
-                                            learned.push(hash);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        // Pull any result artifacts a remote store has
-                        // that ours is missing (pure cache warmth: resume
+                        // Pull the result artifact when a remote store has
+                        // it and ours does not (pure cache warmth: resume
                         // and correctness never depend on the shipment).
-                        if workers[shard].link.is_remote() {
-                            let missing: Vec<String> = artifacts
-                                .into_iter()
-                                .filter(|k| {
-                                    ContentHash::from_hex(k)
-                                        .is_some_and(|hash| !store.contains(&hash))
-                                })
-                                .collect();
-                            if !missing.is_empty() {
-                                let n = missing.len();
-                                let fetch = ToWorker::Fetch { keys: missing }.encode();
-                                if workers[shard].link.send_line(&fetch).is_ok() {
-                                    fetch_pending[shard] += n;
-                                }
+                        if workers[shard].link.is_remote()
+                            && ContentHash::from_hex(&artifact)
+                                .is_some_and(|hash| !store.contains(&hash))
+                        {
+                            let fetch = ToWorker::Fetch { key: artifact }.encode();
+                            if workers[shard].link.send_line(&fetch).is_ok() {
+                                fetch_pending[shard] += 1;
                             }
                         }
                     }
@@ -899,27 +805,6 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                             }
                         }
                         shard_reports[shard].quarantined.push((key, error));
-                    }
-                    FromWorker::Artifact { key, doc } => {
-                        fetch_pending[shard] = fetch_pending[shard].saturating_sub(1);
-                        if let Some(h) = workers[shard].host {
-                            stats.hosts[h].bytes_shipped += doc.len() as u64;
-                        }
-                        // Empty doc = "worker doesn't have it"; nothing to do.
-                        if !doc.is_empty() {
-                            match ContentHash::from_hex(&key) {
-                                Some(hash) => {
-                                    if let Err(e) = store.import(&hash, &doc) {
-                                        eprintln!(
-                                            "[prism-grid] shard {shard}: artifact import failed: {e}"
-                                        );
-                                    }
-                                }
-                                None => eprintln!(
-                                    "[prism-grid] shard {shard}: artifact with bad key {key}"
-                                ),
-                            }
-                        }
                     }
                     FromWorker::Fatal { message } => {
                         let hello = hello_line(config, shard);
@@ -1003,7 +888,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                 if shard < workers.len() && gen == workers[shard].gen =>
             {
                 if let Ok(msg) = FromWorker::decode(&line) {
-                    absorb_late_frame(
+                    absorb_frame(
                         shard,
                         msg,
                         &workers,
@@ -1040,7 +925,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
         if let LinkEvent::Line(gen, line) = event {
             if shard < workers.len() && gen == workers[shard].gen {
                 if let Ok(msg) = FromWorker::decode(&line) {
-                    absorb_late_frame(
+                    absorb_frame(
                         shard,
                         msg,
                         &workers,
@@ -1110,15 +995,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
             local.merge(report);
             stats.local_fallback_units += 1;
         }
-        let local_stats = session.stats();
-        fold_walk_stats(
-            &mut stats,
-            None,
-            local_stats.trace_walks,
-            local_stats.walks_skipped,
-            local_stats.shape_memo_hits,
-            local_stats.timing_artifacts_loaded,
-        );
+        stats.fold(None, WalkCounts::of(&session.stats()));
         shard_reports.push(local);
     }
 
@@ -1143,10 +1020,11 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     })
 }
 
-/// Absorbs a frame arriving after the main loop settled every unit:
-/// results and quarantines still count toward the merged report, and
-/// artifact replies still land in the store.
-fn absorb_late_frame(
+/// Absorbs a frame that settles no unit: an artifact reply lands in the
+/// store and `Bye` counters are summed. After the main loop settled
+/// every unit, late results and quarantines still count toward the
+/// merged report.
+fn absorb_frame(
     shard: usize,
     msg: FromWorker,
     workers: &[WorkerState],
@@ -1167,54 +1045,22 @@ fn absorb_late_frame(
             if let Some(h) = workers[shard].host {
                 stats.hosts[h].bytes_shipped += doc.len() as u64;
             }
+            // Empty doc = "worker doesn't have it"; nothing to do.
             if !doc.is_empty() {
-                if let Some(hash) = ContentHash::from_hex(&key) {
-                    if let Err(e) = store.import(&hash, &doc) {
-                        eprintln!("[prism-grid] shard {shard}: artifact import failed: {e}");
+                match ContentHash::from_hex(&key) {
+                    Some(hash) => {
+                        if let Err(e) = store.import(&hash, &doc) {
+                            eprintln!("[prism-grid] shard {shard}: artifact import failed: {e}");
+                        }
                     }
+                    None => eprintln!("[prism-grid] shard {shard}: artifact with bad key {key}"),
                 }
             }
         }
-        // The usual arrival path for Bye counters: workers acknowledge
-        // the post-sweep Shutdown, so their frames land in this drain.
-        FromWorker::Bye {
-            walks,
-            walks_skipped,
-            shape_memo_hits,
-            timing_artifacts_loaded,
-        } => {
-            fold_walk_stats(
-                stats,
-                workers[shard].host,
-                walks,
-                walks_skipped,
-                shape_memo_hits,
-                timing_artifacts_loaded,
-            );
-        }
+        // Workers acknowledge the post-sweep Shutdown, so Bye counters
+        // usually arrive in the shutdown drain.
+        FromWorker::Bye { counts } => stats.fold(workers[shard].host, counts),
         _ => {}
-    }
-}
-
-/// Adds one session's timing-reuse counters to the run totals and, for a
-/// remote shard, to its per-host breakdown.
-fn fold_walk_stats(
-    stats: &mut GridStats,
-    host: Option<usize>,
-    walks: u64,
-    walks_skipped: u64,
-    shape_memo_hits: u64,
-    timing_artifacts_loaded: u64,
-) {
-    stats.walks += walks;
-    stats.walks_skipped += walks_skipped;
-    stats.shape_memo_hits += shape_memo_hits;
-    stats.timing_artifacts_loaded += timing_artifacts_loaded;
-    if let Some(h) = host {
-        stats.hosts[h].walks += walks;
-        stats.hosts[h].walks_skipped += walks_skipped;
-        stats.hosts[h].shape_memo_hits += shape_memo_hits;
-        stats.hosts[h].timing_artifacts_loaded += timing_artifacts_loaded;
     }
 }
 
@@ -1252,20 +1098,28 @@ mod tests {
             resumed: 6,
             replayed: 7,
             gc_reclaimed_bytes: 8,
-            walks: 13,
-            walks_skipped: 14,
-            shape_memo_hits: 15,
-            timing_artifacts_loaded: 16,
+            counts: WalkCounts {
+                walks: 13,
+                walks_skipped: 14,
+                shape_memo_hits: 15,
+                timing_artifacts_loaded: 16,
+                table_walks: 21,
+                table_timings_loaded: 22,
+            },
             hosts: vec![HostStats {
                 addr: "10.0.0.9:7761".into(),
                 units: 9,
                 recoveries: 10,
                 reconnects: 11,
                 bytes_shipped: 12,
-                walks: 17,
-                walks_skipped: 18,
-                shape_memo_hits: 19,
-                timing_artifacts_loaded: 20,
+                counts: WalkCounts {
+                    walks: 17,
+                    walks_skipped: 18,
+                    shape_memo_hits: 19,
+                    timing_artifacts_loaded: 20,
+                    table_walks: 23,
+                    table_timings_loaded: 24,
+                },
             }],
         };
         let text = stats.render();
@@ -1279,9 +1133,13 @@ mod tests {
             "{text}"
         );
         assert!(
+            text.contains("table walks : 21 performed, 22 loaded"),
+            "{text}"
+        );
+        assert!(
             text.contains(
                 "host 10.0.0.9:7761 : 9 units, 10 recovered, 11 reconnects, 12 bytes shipped, \
-                 17 walks, 18 skipped (19 shape-memo, 20 artifacts)"
+                 17 walks, 18 skipped (19 shape-memo, 20 artifacts), 23 table walks, 24 table loads"
             ),
             "{text}"
         );

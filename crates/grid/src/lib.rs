@@ -46,7 +46,7 @@ pub use coord::{
     parse_grid_timeout, run_grid, GridConfig, GridError, GridOutcome, GridStats, HostStats,
     GRID_TIMEOUT_ENV,
 };
-pub use proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
+pub use proto::{FromWorker, ToWorker, WalkCounts, HEARTBEAT_INTERVAL, PROTO_VERSION};
 pub use worker::{
     run_worker, run_worker_if_env, run_worker_io, serve_tcp, GridFaultPlan, WorkerOptions,
     SHARD_ENV, WORKER_ENV,

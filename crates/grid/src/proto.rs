@@ -14,31 +14,105 @@
 //! [`FromWorker::Fatal`] on a version mismatch) and then heartbeats every
 //! [`HEARTBEAT_INTERVAL`] until shutdown.
 //!
-//! v2 added artifact shipping for remote shards that do not share the
-//! coordinator's store: [`FromWorker::UnitResult`] names the artifacts
-//! backing the unit, the coordinator pulls missing ones with
-//! [`ToWorker::Fetch`], and both directions ship validated envelopes in
-//! `Artifact` frames keyed by hex `ContentHash`. Shipping is pure cache
-//! warmth: the journal embeds full results, so resume and correctness
-//! never depend on a shipped artifact arriving.
+//! Remote shards do not share the coordinator's store, so
+//! [`FromWorker::UnitResult`] names the design-point artifact the unit
+//! settled into, the coordinator pulls it with [`ToWorker::Fetch`] when
+//! its own store lacks it, and the worker ships the validated envelope
+//! back in a [`FromWorker::Artifact`] frame keyed by hex `ContentHash`.
+//! Shipping is pure cache warmth: the journal embeds full results, so
+//! resume and correctness never depend on a shipped artifact arriving.
 
+use std::ops::AddAssign;
 use std::time::Duration;
 
 use prism_exocore::DesignResult;
 use prism_pipeline::{
     decode_design_result, decode_pipeline_error, encode_design_result, encode_pipeline_error, Json,
-    PipelineError,
+    PipelineError, SessionStats,
 };
 
 /// Version of this wire protocol. The coordinator sends it in
 /// [`ToWorker::Hello`]; a worker built from different sources refuses the
-/// handshake instead of silently misinterpreting messages. v2 added the
-/// artifact push/pull frames (`fetch`/`artifact`) and the `artifacts`
-/// list on `result` — a v1 worker refuses a v2 Hello outright.
-pub const PROTO_VERSION: u64 = 2;
+/// handshake instead of silently misinterpreting messages. v3 dropped
+/// v2's coordinator-to-worker `artifact` push, narrowed `fetch` and the
+/// `result` frame's artifact to the one design-point key, and added the
+/// table-walk counters to `bye`.
+pub const PROTO_VERSION: u64 = 3;
 
 /// How often a healthy worker emits [`FromWorker::Heartbeat`].
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
+
+/// One session's timing-reuse counters: what a worker reports in
+/// [`FromWorker::Bye`], and what the coordinator sums per host and
+/// run-wide. The fields mean what the [`SessionStats`] fields of the
+/// same names mean (`walks` is `trace_walks`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkCounts {
+    /// Trace walks performed for design points.
+    pub walks: u64,
+    /// Design-point walks skipped (shape-memo hits + timing artifacts
+    /// loaded).
+    pub walks_skipped: u64,
+    /// In-memory shape-keyed timing memo hits.
+    pub shape_memo_hits: u64,
+    /// Design-point timing summaries loaded from the artifact store.
+    pub timing_artifacts_loaded: u64,
+    /// Trace walks performed for oracle-table timings no design point
+    /// used.
+    pub table_walks: u64,
+    /// Oracle-table timings loaded from the store that no design point
+    /// used.
+    pub table_timings_loaded: u64,
+}
+
+impl WalkCounts {
+    /// The counters of one session.
+    #[must_use]
+    pub fn of(stats: &SessionStats) -> Self {
+        WalkCounts {
+            walks: stats.trace_walks,
+            walks_skipped: stats.walks_skipped,
+            shape_memo_hits: stats.shape_memo_hits,
+            timing_artifacts_loaded: stats.timing_artifacts_loaded,
+            table_walks: stats.table_walks,
+            table_timings_loaded: stats.table_timings_loaded,
+        }
+    }
+
+    fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("walks", self.walks),
+            ("walks_skipped", self.walks_skipped),
+            ("shape_memo_hits", self.shape_memo_hits),
+            ("timing_artifacts_loaded", self.timing_artifacts_loaded),
+            ("table_walks", self.table_walks),
+            ("table_timings_loaded", self.table_timings_loaded),
+        ]
+    }
+
+    fn decode(json: &Json) -> Option<Self> {
+        let field = |name: &str| json.get(name)?.as_u64();
+        Some(WalkCounts {
+            walks: field("walks")?,
+            walks_skipped: field("walks_skipped")?,
+            shape_memo_hits: field("shape_memo_hits")?,
+            timing_artifacts_loaded: field("timing_artifacts_loaded")?,
+            table_walks: field("table_walks")?,
+            table_timings_loaded: field("table_timings_loaded")?,
+        })
+    }
+}
+
+impl AddAssign for WalkCounts {
+    fn add_assign(&mut self, rhs: WalkCounts) {
+        self.walks += rhs.walks;
+        self.walks_skipped += rhs.walks_skipped;
+        self.shape_memo_hits += rhs.shape_memo_hits;
+        self.timing_artifacts_loaded += rhs.timing_artifacts_loaded;
+        self.table_walks += rhs.table_walks;
+        self.table_timings_loaded += rhs.table_timings_loaded;
+    }
+}
 
 /// Messages the coordinator sends to a worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,21 +140,13 @@ pub enum ToWorker {
         /// BSA subset as Fig. 12 code letters (e.g. `"SDN"`, `""`).
         bsas: String,
     },
-    /// Pull request: ship back each named artifact (hex `ContentHash`)
+    /// Pull request: ship back the named artifact (hex `ContentHash`)
     /// from the worker's store. The worker answers one
-    /// [`FromWorker::Artifact`] per key — with an empty `doc` for keys it
-    /// cannot export — so the coordinator can account for every request.
+    /// [`FromWorker::Artifact`], with an empty `doc` when it cannot
+    /// export the key, so the coordinator can account for every request.
     Fetch {
-        /// Hex content-hash keys to ship.
-        keys: Vec<String>,
-    },
-    /// Push: a validated store envelope for `key`, seeding the worker's
-    /// cache with an artifact the coordinator already has.
-    Artifact {
-        /// Hex content-hash key.
+        /// Hex content-hash key to ship.
         key: String,
-        /// The raw envelope text (empty = unavailable).
-        doc: String,
     },
     /// Clean shutdown: finish in-flight units, say `Bye`, exit 0.
     Shutdown,
@@ -109,10 +175,10 @@ pub enum FromWorker {
         id: u64,
         /// The evaluated design point.
         result: DesignResult,
-        /// Hex content-hash keys of the store artifacts backing this
-        /// result, so a coordinator on another host can pull what its
-        /// own store is missing. Empty from pre-v2 or local workers.
-        artifacts: Vec<String>,
+        /// Hex content-hash key of the design-point artifact backing
+        /// this result, so a coordinator on another host can pull it
+        /// when its own store lacks it.
+        artifact: String,
     },
     /// A unit (or a whole workload) was quarantined on this shard.
     UnitQuarantine {
@@ -136,14 +202,8 @@ pub enum FromWorker {
     /// session's timing-reuse counters so the coordinator can surface
     /// per-host walk savings in `--stats`.
     Bye {
-        /// Trace walks this session actually performed.
-        walks: u64,
-        /// Walks skipped (shape-memo hits + timing artifacts loaded).
-        walks_skipped: u64,
-        /// In-memory shape-keyed timing memo hits.
-        shape_memo_hits: u64,
-        /// Timing summaries loaded from the artifact store.
-        timing_artifacts_loaded: u64,
+        /// The worker session's walk counters.
+        counts: WalkCounts,
     },
     /// The worker cannot continue (handshake mismatch, bad assignment).
     Fatal {
@@ -190,20 +250,7 @@ impl ToWorker {
                     ("bsas".into(), Json::Str(bsas.clone())),
                 ],
             ),
-            ToWorker::Fetch { keys } => obj(
-                "fetch",
-                vec![(
-                    "keys".into(),
-                    Json::Arr(keys.iter().map(|k| Json::Str(k.clone())).collect()),
-                )],
-            ),
-            ToWorker::Artifact { key, doc } => obj(
-                "artifact",
-                vec![
-                    ("key".into(), Json::Str(key.clone())),
-                    ("doc".into(), Json::Str(doc.clone())),
-                ],
-            ),
+            ToWorker::Fetch { key } => obj("fetch", vec![("key".into(), Json::Str(key.clone()))]),
             ToWorker::Shutdown => obj("shutdown", vec![]),
         }
         .to_string()
@@ -244,19 +291,7 @@ impl ToWorker {
             .ok_or_else(shape),
             "fetch" => (|| {
                 Some(ToWorker::Fetch {
-                    keys: json
-                        .get("keys")?
-                        .as_arr()?
-                        .iter()
-                        .map(|k| Some(k.as_str()?.to_string()))
-                        .collect::<Option<_>>()?,
-                })
-            })()
-            .ok_or_else(shape),
-            "artifact" => (|| {
-                Some(ToWorker::Artifact {
                     key: json.get("key")?.as_str()?.to_string(),
-                    doc: json.get("doc")?.as_str()?.to_string(),
                 })
             })()
             .ok_or_else(shape),
@@ -288,16 +323,13 @@ impl FromWorker {
             FromWorker::UnitResult {
                 id,
                 result,
-                artifacts,
+                artifact,
             } => obj(
                 "result",
                 vec![
                     ("id".into(), Json::U64(*id)),
                     ("result".into(), encode_design_result(result)),
-                    (
-                        "artifacts".into(),
-                        Json::Arr(artifacts.iter().map(|k| Json::Str(k.clone())).collect()),
-                    ),
+                    ("artifact".into(), Json::Str(artifact.clone())),
                 ],
             ),
             FromWorker::UnitQuarantine { id, key, error } => obj(
@@ -315,22 +347,13 @@ impl FromWorker {
                     ("doc".into(), Json::Str(doc.clone())),
                 ],
             ),
-            FromWorker::Bye {
-                walks,
-                walks_skipped,
-                shape_memo_hits,
-                timing_artifacts_loaded,
-            } => obj(
+            FromWorker::Bye { counts } => obj(
                 "bye",
-                vec![
-                    ("walks".into(), Json::U64(*walks)),
-                    ("walks_skipped".into(), Json::U64(*walks_skipped)),
-                    ("shape_memo_hits".into(), Json::U64(*shape_memo_hits)),
-                    (
-                        "timing_artifacts_loaded".into(),
-                        Json::U64(*timing_artifacts_loaded),
-                    ),
-                ],
+                counts
+                    .fields()
+                    .iter()
+                    .map(|&(name, value)| (name.to_string(), Json::U64(value)))
+                    .collect(),
             ),
             FromWorker::Fatal { message } => obj(
                 "fatal",
@@ -365,20 +388,10 @@ impl FromWorker {
             })()
             .ok_or_else(shape),
             "result" => (|| {
-                // `artifacts` is optional on decode for v1 tolerance;
-                // v2 encoders always write it.
-                let artifacts = match json.get("artifacts") {
-                    Some(arr) => arr
-                        .as_arr()?
-                        .iter()
-                        .map(|k| Some(k.as_str()?.to_string()))
-                        .collect::<Option<_>>()?,
-                    None => Vec::new(),
-                };
                 Some(FromWorker::UnitResult {
                     id: json.get("id")?.as_u64()?,
                     result: decode_design_result(json.get("result")?)?,
-                    artifacts,
+                    artifact: json.get("artifact")?.as_str()?.to_string(),
                 })
             })()
             .ok_or_else(shape),
@@ -401,23 +414,9 @@ impl FromWorker {
                 })
             })()
             .ok_or_else(shape),
-            // Counters default to zero so a bare `bye` (pre-counter
-            // workers) still decodes.
-            "bye" => Ok(FromWorker::Bye {
-                walks: json.get("walks").and_then(Json::as_u64).unwrap_or(0),
-                walks_skipped: json
-                    .get("walks_skipped")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                shape_memo_hits: json
-                    .get("shape_memo_hits")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                timing_artifacts_loaded: json
-                    .get("timing_artifacts_loaded")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-            }),
+            "bye" => WalkCounts::decode(&json)
+                .map(|counts| FromWorker::Bye { counts })
+                .ok_or_else(shape),
             "fatal" => (|| {
                 Some(FromWorker::Fatal {
                     message: json.get("message")?.as_str()?.to_string(),
@@ -451,11 +450,7 @@ mod tests {
                 bsas: "SDN".into(),
             },
             ToWorker::Fetch {
-                keys: vec!["ab".repeat(32), "cd".repeat(32)],
-            },
-            ToWorker::Artifact {
-                key: "ef".repeat(32),
-                doc: "{\"schema\":2,\"payload\":\"with \\\"quotes\\\" and \\n newline\"}".into(),
+                key: "ab".repeat(32),
             },
             ToWorker::Shutdown,
         ];
@@ -491,11 +486,15 @@ mod tests {
             FromWorker::UnitResult {
                 id: 5,
                 result,
-                artifacts: vec!["12".repeat(32)],
+                artifact: "12".repeat(32),
             },
             FromWorker::Artifact {
                 key: "34".repeat(32),
                 doc: String::new(),
+            },
+            FromWorker::Artifact {
+                key: "ef".repeat(32),
+                doc: "{\"schema\":2,\"payload\":\"with \\\"quotes\\\" and \\n newline\"}".into(),
             },
             FromWorker::UnitQuarantine {
                 id: Some(6),
@@ -508,10 +507,14 @@ mod tests {
                 error: PipelineError::new("fft", Stage::Trace, "truncated"),
             },
             FromWorker::Bye {
-                walks: 3,
-                walks_skipped: 61,
-                shape_memo_hits: 40,
-                timing_artifacts_loaded: 21,
+                counts: WalkCounts {
+                    walks: 3,
+                    walks_skipped: 61,
+                    shape_memo_hits: 40,
+                    timing_artifacts_loaded: 21,
+                    table_walks: 7,
+                    table_timings_loaded: 2,
+                },
             },
             FromWorker::Fatal {
                 message: "version mismatch".into(),
@@ -540,11 +543,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_result_without_artifacts_still_decodes() {
-        // A v1 `result` frame has no `artifacts` field; tolerate it so a
-        // coordinator can drain a worker mid-upgrade instead of treating
-        // the frame as garbled (and killing the shard).
-        let full = FromWorker::UnitResult {
+    fn v3_frames_require_every_field() {
+        // The handshake refuses any other version, so a `result` without
+        // its artifact key or a `bye` without its counters is garbled.
+        let result = FromWorker::UnitResult {
             id: 3,
             result: DesignResult {
                 label: "IO2-".into(),
@@ -553,17 +555,19 @@ mod tests {
                 area_mm2: 1.0,
                 per_workload: vec![],
             },
-            artifacts: vec![],
+            artifact: "ab".repeat(32),
         }
         .encode();
-        let stripped = full.replace(",\"artifacts\":[]", "");
-        assert_ne!(full, stripped, "artifacts field must be present in v2");
-        match FromWorker::decode(&stripped).unwrap() {
-            FromWorker::UnitResult { id, artifacts, .. } => {
-                assert_eq!(id, 3);
-                assert!(artifacts.is_empty());
-            }
-            other => panic!("wrong decode: {other:?}"),
+        let stripped = result.replace(&format!(",\"artifact\":\"{}\"", "ab".repeat(32)), "");
+        assert_ne!(result, stripped);
+        assert!(FromWorker::decode(&stripped).is_err(), "{stripped}");
+        let bye = FromWorker::Bye {
+            counts: WalkCounts::default(),
         }
+        .encode();
+        let stripped = bye.replace(",\"table_timings_loaded\":0", "");
+        assert_ne!(bye, stripped);
+        assert!(FromWorker::decode(&stripped).is_err(), "{stripped}");
+        assert!(FromWorker::decode("{\"type\":\"bye\"}").is_err());
     }
 }

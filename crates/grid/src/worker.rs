@@ -11,7 +11,7 @@
 //! Inside the worker, three threads overlap work:
 //!
 //! - the **reader** (main thread) parses assignments from the input into a
-//!   queue, and answers artifact fetch/push frames from its local store,
+//!   queue, and answers artifact fetches from its local store,
 //! - the **prewarm** thread prepares traces/IR and oracle tables for
 //!   *queued* units while the evaluator is busy with earlier ones, so
 //!   a unit's expensive prepare phase overlaps the previous unit's
@@ -38,7 +38,7 @@ use prism_tdg::BsaKind;
 use prism_udg::CoreConfig;
 use prism_workloads::Workload;
 
-use crate::proto::{FromWorker, ToWorker, HEARTBEAT_INTERVAL, PROTO_VERSION};
+use crate::proto::{FromWorker, ToWorker, WalkCounts, HEARTBEAT_INTERVAL, PROTO_VERSION};
 
 /// Set (to any value) in a worker process's environment.
 pub const WORKER_ENV: &str = "PRISM_GRID_WORKER";
@@ -266,8 +266,8 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         })
         .with_store_cap(opts.store_cap)
         .with_store_dir(&store_dir);
-    // A second handle on the same store for artifact fetch/push frames:
-    // the reader thread serves those concurrently with evaluation, and
+    // A second handle on the same store for artifact fetches: the
+    // reader thread serves those concurrently with evaluation, and
     // the store's durability is file-level, not handle-level.
     let store = ArtifactStore::new(&store_dir).with_cap(opts.store_cap);
 
@@ -428,8 +428,8 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
 
         // Reader (this thread): feed the queue until shutdown, EOF, or an
         // I/O error such as an over-cap frame (either way the session is
-        // over). Artifact frames are served inline — store export/import
-        // is cheap I/O and must not queue behind a long evaluation.
+        // over). Fetches are served inline — a store export is cheap I/O
+        // and must not queue behind a long evaluation.
         'reader: for line in lines {
             let line = match line {
                 Ok(line) => line,
@@ -445,26 +445,14 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
                     q.pending.push_back(QueuedUnit { id, core, bsas });
                     queue_cv.notify_all();
                 }
-                Ok(ToWorker::Fetch { keys }) => {
-                    for key in keys {
-                        // Empty doc = "don't have it" so the coordinator
-                        // can account for every requested key.
-                        let doc = ContentHash::from_hex(&key)
-                            .and_then(|k| store.export(&k))
-                            .unwrap_or_default();
-                        send(&out, &FromWorker::Artifact { key, doc });
-                    }
+                Ok(ToWorker::Fetch { key }) => {
+                    // Empty doc = "don't have it" so the coordinator can
+                    // account for every request.
+                    let doc = ContentHash::from_hex(&key)
+                        .and_then(|k| store.export(&k))
+                        .unwrap_or_default();
+                    send(&out, &FromWorker::Artifact { key, doc });
                 }
-                Ok(ToWorker::Artifact { key, doc }) => match ContentHash::from_hex(&key) {
-                    Some(k) => {
-                        if let Err(e) = store.import(&k, &doc) {
-                            eprintln!("[prism-grid] shard {shard}: artifact import failed: {e}");
-                        }
-                    }
-                    None => {
-                        eprintln!("[prism-grid] shard {shard}: artifact push with bad key {key}");
-                    }
-                },
                 Ok(ToWorker::Shutdown) => break 'reader,
                 Ok(ToWorker::Hello { .. }) | Err(_) => {
                     send(
@@ -481,14 +469,10 @@ pub fn run_worker_io<R: BufRead, W: Write + Send>(
         queue_cv.notify_all();
     });
 
-    let session_stats = session.stats();
     send(
         &out,
         &FromWorker::Bye {
-            walks: session_stats.trace_walks,
-            walks_skipped: session_stats.walks_skipped,
-            shape_memo_hits: session_stats.shape_memo_hits,
-            timing_artifacts_loaded: session_stats.timing_artifacts_loaded,
+            counts: WalkCounts::of(&session.stats()),
         },
     );
     0
@@ -538,15 +522,10 @@ fn evaluate_unit<W: Write>(
     // Name the store artifact this unit settled into, so a remote
     // coordinator knows what to pull. Preparation is memoized, so
     // recomputing the healthy workload keys here is cheap.
-    let artifacts = {
+    let artifact = {
         let (data, _) = session.prepare_quarantined(workloads);
         let wkeys: Vec<ContentHash> = data.iter().map(|p| p.key).collect();
-        let mut keys = vec![session.design_point_key(&wkeys, &core, &bsas)];
-        // Timing artifacts settled by this unit's walks ride along, so
-        // the coordinator can pull them and reuse the walks on cores
-        // that share a timing shape with this one.
-        keys.extend(session.timing_shape_keys(&data, &core, &bsas));
-        keys.iter().map(ContentHash::hex).collect::<Vec<_>>()
+        session.design_point_key(&wkeys, &core, &bsas).hex()
     };
     let mut resolved = false;
     for result in report.results {
@@ -555,7 +534,7 @@ fn evaluate_unit<W: Write>(
             &FromWorker::UnitResult {
                 id: unit.id,
                 result,
-                artifacts: artifacts.clone(),
+                artifact: artifact.clone(),
             },
         );
         resolved = true;

@@ -15,8 +15,8 @@
 //!    evaluation,
 //! 6. a `--resume` over a fully-journaled sweep assigns zero units (and
 //!    spawns no workers at all),
-//! 7. the same sweep over two localhost TCP daemons — under streaming
-//!    evaluation and an injected mid-sweep disconnect — matches the
+//! 7. the same sweep over two localhost TCP daemons — under an injected
+//!    mid-sweep disconnect — matches the
 //!    single-process report, with the cut surfacing as `recovered`.
 
 use std::net::TcpListener;
@@ -73,7 +73,6 @@ fn config(workers: usize, dir: &Path) -> GridConfig {
         artifact_dir: dir.to_path_buf(),
         worker_cmd: None, // this very binary, re-entered via main()
         heartbeat_timeout: Duration::from_secs(10),
-        window: 2,
         env: Vec::new(),
         env_remove: Vec::new(),
         net_faults: NetFaultPlan::default(),

@@ -317,34 +317,87 @@ struct MemoTiming {
     claim: Claim,
 }
 
-/// The session's prepared-workload memo.
-#[derive(Debug, Default)]
-struct WorkloadMemo {
-    ready: HashMap<ContentHash, Arc<WorkloadData>>,
-    /// Keys some thread is preparing now. Other callers wait for it
-    /// instead of simulating the same trace a second time, which in a grid
-    /// worker (prewarm and evaluator threads preparing the same set) would
-    /// hold two copies of every trace at once.
+/// A single-flight memo: one thread at a time builds a key's value, and
+/// other callers wait for it instead of building it again. In a grid
+/// worker the prewarm and evaluator threads ask for the same workloads and
+/// tables; without this they would simulate a trace twice (holding two
+/// copies at once) or measure a table twice.
+#[derive(Debug)]
+struct SingleFlight<V> {
+    state: Mutex<Flights<V>>,
+    settled: Condvar,
+}
+
+#[derive(Debug)]
+struct Flights<V> {
+    ready: HashMap<ContentHash, Arc<V>>,
+    /// Keys some thread is building now.
     in_flight: HashSet<ContentHash>,
 }
 
-/// Clears a key's in-flight mark when its preparation ends, by error or
-/// panic too, and wakes the waiters; they retry the key if it is still
-/// not ready.
-struct InFlight<'s> {
-    session: &'s Session,
+impl<V> Default for SingleFlight<V> {
+    fn default() -> Self {
+        SingleFlight {
+            state: Mutex::new(Flights {
+                ready: HashMap::new(),
+                in_flight: HashSet::new(),
+            }),
+            settled: Condvar::new(),
+        }
+    }
+}
+
+impl<V> SingleFlight<V> {
+    /// Poison recovery: the memo holds plain data, so a panic in some
+    /// other thread that happened to hold the lock cannot have left it
+    /// half-updated — recover the guard instead of cascading the panic.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Flights<V>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The value under `key`: a ready one (counted in `hits`), else, once
+    /// another thread's build of it settles, that build's value (also a
+    /// hit), else the value `build` makes here (counted in `misses`). A
+    /// build that fails or panics stores nothing and wakes the waiters,
+    /// which then try `key` themselves.
+    fn get_or_build<E>(
+        &self,
+        key: ContentHash,
+        hits: &AtomicU64,
+        misses: &AtomicU64,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        let mut state = self.lock();
+        loop {
+            if let Some(value) = state.ready.get(&key) {
+                hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(value));
+            }
+            if state.in_flight.insert(key) {
+                break;
+            }
+            state = self.settled.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(state);
+        let _flight = Flight { memo: self, key };
+        misses.fetch_add(1, Ordering::Relaxed);
+        let value = Arc::new(build()?);
+        self.lock().ready.insert(key, Arc::clone(&value));
+        Ok(value)
+    }
+}
+
+/// Clears a key's in-flight mark when its build ends, by error or panic
+/// too, and wakes the waiters.
+struct Flight<'m, V> {
+    memo: &'m SingleFlight<V>,
     key: ContentHash,
 }
 
-impl Drop for InFlight<'_> {
+impl<V> Drop for Flight<'_, V> {
     fn drop(&mut self) {
-        self.session
-            .workloads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .in_flight
-            .remove(&self.key);
-        self.session.workload_settled.notify_all();
+        self.memo.lock().in_flight.remove(&self.key);
+        self.memo.settled.notify_all();
     }
 }
 
@@ -359,9 +412,8 @@ pub struct Session {
     faults: Option<Arc<FaultPlan>>,
     budget: ExecBudget,
     guard: Option<DivergenceGuard>,
-    workloads: Mutex<WorkloadMemo>,
-    workload_settled: Condvar,
-    tables: Mutex<HashMap<ContentHash, Arc<OracleTable>>>,
+    workloads: SingleFlight<WorkloadData>,
+    tables: SingleFlight<OracleTable>,
     timings: Mutex<HashMap<ContentHash, MemoTiming>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
@@ -424,9 +476,8 @@ impl Session {
             faults,
             budget,
             guard: DivergenceGuard::from_env(),
-            workloads: Mutex::new(WorkloadMemo::default()),
-            workload_settled: Condvar::new(),
-            tables: Mutex::new(HashMap::new()),
+            workloads: SingleFlight::default(),
+            tables: SingleFlight::default(),
             timings: Mutex::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
@@ -571,56 +622,33 @@ impl Session {
         name: &str,
         build: impl FnOnce() -> prism_isa::Program,
     ) -> Result<PreparedWorkload, PipelineError> {
-        // Poison recovery: the memo holds plain data, so a panic in some
-        // other thread that happened to hold the lock cannot have left it
-        // half-updated — recover the guard instead of cascading the panic.
-        let mut memo = self.workloads.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(data) = memo.ready.get(&key) {
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(PreparedWorkload {
-                    key,
-                    data: Arc::clone(data),
-                });
-            }
-            if memo.in_flight.insert(key) {
-                break;
-            }
-            memo = self
-                .workload_settled
-                .wait(memo)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        drop(memo);
-        let _in_flight = InFlight { session: self, key };
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(f) = &self.faults {
-            f.maybe_panic(Stage::Build, name);
-        }
-        let program = build();
-        if let Some(f) = &self.faults {
-            f.maybe_panic(Stage::Trace, name);
-            if f.rolls(Site::TraceTruncate, name) {
-                return Err(PipelineError::new(
-                    name,
-                    Stage::Trace,
-                    format!(
-                        "injected fault: trace truncated before {} instructions",
-                        self.tracer.max_insts
-                    ),
-                ));
-            }
-        }
-        let trace = self.record_trace(&program, name)?;
-        let started = std::time::Instant::now();
-        let data = Arc::new(WorkloadData::from_trace(trace));
-        self.transform_nanos
-            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.workloads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .ready
-            .insert(key, Arc::clone(&data));
+        let data = self
+            .workloads
+            .get_or_build(key, &self.memo_hits, &self.memo_misses, || {
+                if let Some(f) = &self.faults {
+                    f.maybe_panic(Stage::Build, name);
+                }
+                let program = build();
+                if let Some(f) = &self.faults {
+                    f.maybe_panic(Stage::Trace, name);
+                    if f.rolls(Site::TraceTruncate, name) {
+                        return Err(PipelineError::new(
+                            name,
+                            Stage::Trace,
+                            format!(
+                                "injected fault: trace truncated before {} instructions",
+                                self.tracer.max_insts
+                            ),
+                        ));
+                    }
+                }
+                let trace = self.record_trace(&program, name)?;
+                let started = std::time::Instant::now();
+                let data = WorkloadData::from_trace(trace);
+                self.transform_nanos
+                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                Ok(data)
+            })?;
         Ok(PreparedWorkload { key, data })
     }
 
@@ -755,7 +783,8 @@ impl Session {
 
     /// The oracle table for `workload` on `core`'s base configuration,
     /// memoized per (workload key, core) and metered against the session's
-    /// execution budget.
+    /// execution budget. Concurrent callers for one table wait for a
+    /// single measurement.
     ///
     /// The table's trace-walk timings come from the session's one
     /// [shape-keyed](Session::shape_key) timing memo: memo, then the
@@ -781,16 +810,19 @@ impl Session {
         kb.hash_field("workload", &workload.key);
         kb.core(core);
         let key = kb.finish();
-        if let Some(table) = self
-            .tables
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(table));
-        }
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
+        self.tables
+            .get_or_build(key, &self.memo_hits, &self.memo_misses, || {
+                self.measure_table(workload, core)
+            })
+    }
+
+    /// Measures one oracle table over the shared timing memo (see
+    /// [`Session::oracle_table`]).
+    fn measure_table(
+        &self,
+        workload: &PreparedWorkload,
+        core: &CoreConfig,
+    ) -> Result<OracleTable, PipelineError> {
         let started = std::time::Instant::now();
         let mut nested = std::time::Duration::ZERO;
         let mut requested = Vec::new();
@@ -842,12 +874,7 @@ impl Session {
                 }
             }
         }
-        let table = Arc::new(table?);
-        self.tables
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, Arc::clone(&table));
-        Ok(table)
+        table
     }
 
     /// The canonical **µDG shape key** of one trace-walk timing: a
@@ -977,30 +1004,6 @@ impl Session {
         self.udg_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         timing
-    }
-
-    /// The [µDG shape keys](Session::shape_key) of the trace-walk timings
-    /// one design point needs — one per workload whose oracle table is
-    /// measurable (errors are skipped; they surface when the point is
-    /// evaluated). Grid workers report these alongside the design-result
-    /// key so coordinators can pull timing artifacts over the wire, and
-    /// coordinators push them ahead of assignments — the multi-host
-    /// fabric becomes a distributed timing cache.
-    #[must_use]
-    pub fn timing_shape_keys(
-        &self,
-        data: &[PreparedWorkload],
-        core: &CoreConfig,
-        bsas: &[BsaKind],
-    ) -> Vec<ContentHash> {
-        let point = DesignPoint::new(core.clone(), bsas.to_vec());
-        data.iter()
-            .filter_map(|w| {
-                let table = self.oracle_table(w, core).ok()?;
-                let assignment = oracle_pick(&table, &w.data, &point.bsas);
-                Some(self.shape_key(w, &point.core, &assignment))
-            })
-            .collect()
     }
 
     fn evaluate_point(
@@ -1731,6 +1734,72 @@ mod tests {
             .expect_err("10-node budget cannot measure a table");
         assert_eq!(err.kind, crate::error::ErrorKind::BudgetExceeded);
         assert_eq!(err.workload, w.name);
+    }
+
+    #[test]
+    fn concurrent_oracle_tables_of_one_core_are_measured_once() {
+        let session = clean_session();
+        let prepared = session
+            .prepare(&prism_workloads::MICRO[0])
+            .expect("prepare");
+        let core = CoreConfig::ooo2();
+        let tables = together(4, || session.oracle_table(&prepared, &core).expect("table"));
+        assert!(tables.iter().all(|t| Arc::ptr_eq(t, &tables[0])));
+        let s = session.stats();
+        // One miss for the prepare, one for the table; three table hits.
+        assert_eq!((s.memo_hits, s.memo_misses), (3, 2), "{s:?}");
+        // Each of the table's timings is fetched once: walked, or loaded
+        // from the store other tests share.
+        assert_eq!(
+            s.table_walks + s.table_timings_loaded,
+            1 + tables[0].candidates.len() as u64,
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    fn an_over_budget_table_releases_its_waiters() {
+        let session = clean_session().with_budget(ExecBudget::new(10));
+        let prepared = session
+            .prepare(&prism_workloads::MICRO[0])
+            .expect("prepare");
+        let core = CoreConfig::ooo2();
+        let errs = together(2, || session.oracle_table(&prepared, &core).is_err());
+        // Nothing is memoized for a failed build: each caller measures
+        // (and fails) itself instead of waiting forever.
+        assert_eq!(errs, [true, true]);
+        assert_eq!(session.stats().memo_misses, 3);
+    }
+
+    #[test]
+    fn a_panicking_build_releases_its_waiters() {
+        let memo = SingleFlight::<u32>::default();
+        let (hits, misses) = (AtomicU64::new(0), AtomicU64::new(0));
+        let key = KeyBuilder::new("single-flight").finish();
+        let (started, building) = std::sync::mpsc::channel();
+        let get = |value: u32| {
+            memo.get_or_build(key, &hits, &misses, || -> Result<u32, ()> {
+                let _ = started.send(());
+                assert_ne!(value, 0, "injected build panic");
+                Ok(value)
+            })
+        };
+        std::thread::scope(|scope| {
+            let panicking = scope.spawn(|| catch_unwind(AssertUnwindSafe(|| get(0))));
+            building.recv().expect("first build started");
+            // The first build has claimed the key. Whether this caller
+            // waits for it or arrives after its panic, an in-flight mark
+            // the panic left behind would block it forever; cleared, it
+            // builds the value itself.
+            assert_eq!(get(7).map(|v| *v), Ok(7));
+            assert!(panicking.join().expect("joined").is_err());
+        });
+        assert_eq!(misses.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            memo.get_or_build(key, &hits, &misses, || Err(())),
+            Ok(Arc::new(7))
+        );
+        assert_eq!(hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -126,7 +126,6 @@ fn child_grid() -> ! {
         artifact_dir: store,
         worker_cmd: None, // this very binary, re-entered via main()
         heartbeat_timeout: Duration::from_secs(10),
-        window: 2,
         env: Vec::new(),
         // Workers must not inherit the kill spec: the property under test
         // is a *coordinator* kill (worker deaths are grid_smoke's domain).
