@@ -5,7 +5,7 @@
 
 use prism_bench::{run_or_exit, session};
 use prism_exocore::{oracle_schedule, switching_timeline};
-use prism_tdg::BsaKind;
+use prism_tdg::{BsaKind, ExecUnit};
 use prism_udg::CoreConfig;
 
 fn main() {
@@ -35,15 +35,16 @@ fn main() {
                 "#".repeat(bar_len)
             );
         }
-        let units: std::collections::HashSet<_> = points.iter().map(|p| p.dominant_unit).collect();
+        // Breakdown order, so the line is the same on every run.
+        let units: Vec<String> = ExecUnit::ALL
+            .iter()
+            .filter(|u| points.iter().any(|p| p.dominant_unit == **u))
+            .map(ToString::to_string)
+            .collect();
         println!(
             "distinct units used: {} ({})\n",
             units.len(),
-            units
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
+            units.join(", ")
         );
     }
 }

@@ -71,15 +71,6 @@ pub fn run_or_exit<T>(result: Result<T, PipelineError>) -> T {
     })
 }
 
-/// Prepares every registered workload (trace + IR + plans), in parallel.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] naming the workload and failing stage.
-pub fn prepare_all_workloads() -> Result<Vec<PreparedWorkload>, PipelineError> {
-    session().prepare_all()
-}
-
 /// Prepares the workloads of one suite, in parallel.
 ///
 /// # Errors
@@ -186,10 +177,4 @@ pub fn by_label<'a>(results: &'a [DesignResult], label: &str) -> &'a DesignResul
         .iter()
         .find(|r| r.label == label)
         .unwrap_or_else(|| panic!("no design point labeled {label}"))
-}
-
-/// Formats a ratio column.
-#[must_use]
-pub fn fmt2(x: f64) -> String {
-    format!("{x:.2}")
 }

@@ -44,12 +44,12 @@ impl WorkloadData {
         )?))
     }
 
-    /// Runs the analysis stack over an already-recorded `trace` (e.g. one
-    /// accumulated chunk-by-chunk from a [`prism_sim::TraceSource`]).
+    /// Runs the analysis stack over an already-recorded `trace` (from
+    /// [`prism_sim::trace_with`]).
     ///
     /// The IR reconstruction (Ball–Larus path profiling) genuinely needs
-    /// random access over the whole stream, so this is the one place the
-    /// pipeline materializes a trace.
+    /// random access over the whole stream, so this is where the full
+    /// trace meets the analyses.
     #[must_use]
     pub fn from_trace(trace: Trace) -> Self {
         let ir = ProgramIr::analyze(&trace);

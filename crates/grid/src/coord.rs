@@ -52,7 +52,7 @@ use prism_udg::CoreConfig;
 use prism_workloads::Workload;
 
 use crate::proto::{FromWorker, ToWorker, WalkCounts, PROTO_VERSION};
-use crate::worker::{SHARD_ENV, WORKER_ENV};
+use crate::worker::WORKER_ENV;
 use crate::WORKERS_ENV;
 
 /// Environment variable overriding the heartbeat timeout, in integer
@@ -177,7 +177,8 @@ pub struct HostStats {
     pub reconnects: usize,
     /// Artifact bytes shipped over this link.
     pub bytes_shipped: u64,
-    /// This host's walk counters (from its `Bye` frames).
+    /// This host's walk counters (the last cumulative value each of its
+    /// sessions reported, in a `result` or its `Bye`).
     pub counts: WalkCounts,
 }
 
@@ -204,8 +205,8 @@ pub struct GridStats {
     pub replayed: usize,
     /// Bytes reclaimed by the opportunistic orphaned-tmp-file GC.
     pub gc_reclaimed_bytes: u64,
-    /// Walk counters summed over every shard that reported them (worker
-    /// `Bye` frames plus the local fallback session).
+    /// Walk counters summed over every worker session (the last
+    /// cumulative value each reported) plus the local fallback session.
     pub counts: WalkCounts,
     /// Per-remote-host counters, in [`GridConfig::hosts`] order.
     pub hosts: Vec<HostStats>,
@@ -341,15 +342,35 @@ struct WorkerState {
     host: Option<usize>,
     /// Remaining reconnect attempts for this link.
     reconnects_left: u32,
+    /// The current session's latest cumulative walk counters, not yet
+    /// folded into [`GridStats`].
+    counts: WalkCounts,
+}
+
+impl WorkerState {
+    /// Replaces the session's counters with a newer cumulative value.
+    /// A dead session's were already folded, so its late frames are
+    /// ignored.
+    fn note_counts(&mut self, counts: WalkCounts) {
+        if self.alive {
+            self.counts = counts;
+        }
+    }
+
+    /// Folds the session's counters into the run totals. Called once per
+    /// session: at its `Bye`, its death (before any reconnect) or the end
+    /// of the run; the counters are zero afterwards.
+    fn end_session(&mut self, stats: &mut GridStats) {
+        stats.fold(self.host, std::mem::take(&mut self.counts));
+    }
 }
 
 /// The worker subprocess command for one local shard (the link layer
 /// pipes its stdin/stdout; stderr stays inherited).
-fn worker_command(cmd: &PathBuf, shard: usize, config: &GridConfig) -> Command {
+fn worker_command(cmd: &PathBuf, config: &GridConfig) -> Command {
     let mut builder = Command::new(cmd);
     builder
         .env(WORKER_ENV, "1")
-        .env(SHARD_ENV, shard.to_string())
         .env("PRISM_ARTIFACT_DIR", &config.artifact_dir)
         // A worker must never recurse into coordinating its own fleet.
         .env_remove(WORKERS_ENV);
@@ -397,6 +418,7 @@ fn mark_dead_and_reassign(
     eprintln!("[prism-grid] shard {shard}: {reason}");
     w.alive = false;
     w.link.kill();
+    w.end_session(stats);
     stats.workers_died += 1;
     // Outstanding artifact fetches died with the session.
     fetch_pending[shard] = 0;
@@ -568,7 +590,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
     // matching vector indices.
     for shard in 0..config.workers {
         let cmd = worker_cmd.as_ref().expect("workers > 0 resolves a command");
-        match StdioLink::spawn(worker_command(cmd, shard, config), shard, &tx) {
+        match StdioLink::spawn(worker_command(cmd, config), shard, &tx) {
             Ok(link) => {
                 stats.workers_spawned += 1;
                 workers.push(WorkerState {
@@ -579,6 +601,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                     gen: 0,
                     host: None,
                     reconnects_left: 0,
+                    counts: WalkCounts::default(),
                 });
             }
             Err(e) => {
@@ -591,6 +614,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                     gen: 0,
                     host: None,
                     reconnects_left: 0,
+                    counts: WalkCounts::default(),
                 });
             }
         }
@@ -619,6 +643,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                     gen,
                     host: Some(hidx),
                     reconnects_left: LINK_RECONNECTS,
+                    counts: WalkCounts::default(),
                 });
             }
             Err(e) => {
@@ -631,6 +656,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                     gen: 0,
                     host: Some(hidx),
                     reconnects_left: 0,
+                    counts: WalkCounts::default(),
                 });
             }
         }
@@ -730,7 +756,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                         absorb_frame(
                             shard,
                             msg,
-                            &workers,
+                            &mut workers,
                             &store,
                             &mut shard_reports,
                             &mut fetch_pending,
@@ -741,6 +767,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                         id,
                         result,
                         artifact,
+                        counts,
                     } => {
                         // Kill point: the unit's artifact is durable (the
                         // worker stored it before reporting) but nothing is
@@ -749,6 +776,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                         crash_point(SITE_GRID_FRAME);
                         let uid = id as usize;
                         workers[shard].inflight.retain(|&u| u != uid);
+                        workers[shard].note_counts(counts);
                         if uid < units.len() && !units[uid].resolved {
                             units[uid].resolved = true;
                             resolved += 1;
@@ -891,7 +919,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                     absorb_frame(
                         shard,
                         msg,
-                        &workers,
+                        &mut workers,
                         &store,
                         &mut shard_reports,
                         &mut fetch_pending,
@@ -928,7 +956,7 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                     absorb_frame(
                         shard,
                         msg,
-                        &workers,
+                        &mut workers,
                         &store,
                         &mut shard_reports,
                         &mut fetch_pending,
@@ -937,6 +965,11 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
                 }
             }
         }
+    }
+
+    // Sessions that ended without a `Bye` still count what they reported.
+    for w in &mut workers {
+        w.end_session(&mut stats);
     }
 
     // Local fallback: evaluate in-process whatever no worker could take.
@@ -1021,20 +1054,21 @@ pub fn run_grid(config: &GridConfig) -> Result<GridOutcome, GridError> {
 }
 
 /// Absorbs a frame that settles no unit: an artifact reply lands in the
-/// store and `Bye` counters are summed. After the main loop settled
-/// every unit, late results and quarantines still count toward the
-/// merged report.
+/// store and `Bye` ends the session's counters. After the main loop
+/// settled every unit, late results and quarantines still count toward
+/// the merged report.
 fn absorb_frame(
     shard: usize,
     msg: FromWorker,
-    workers: &[WorkerState],
+    workers: &mut [WorkerState],
     store: &ArtifactStore,
     shard_reports: &mut [SweepReport],
     fetch_pending: &mut [usize],
     stats: &mut GridStats,
 ) {
     match msg {
-        FromWorker::UnitResult { result, .. } if shard < shard_reports.len() => {
+        FromWorker::UnitResult { result, counts, .. } if shard < shard_reports.len() => {
+            workers[shard].note_counts(counts);
             shard_reports[shard].results.push(result);
         }
         FromWorker::UnitQuarantine { key, error, .. } if shard < shard_reports.len() => {
@@ -1059,7 +1093,10 @@ fn absorb_frame(
         }
         // Workers acknowledge the post-sweep Shutdown, so Bye counters
         // usually arrive in the shutdown drain.
-        FromWorker::Bye { counts } => stats.fold(workers[shard].host, counts),
+        FromWorker::Bye { counts } => {
+            workers[shard].note_counts(counts);
+            workers[shard].end_session(stats);
+        }
         _ => {}
     }
 }
@@ -1067,6 +1104,76 @@ fn absorb_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn remote_worker() -> WorkerState {
+        WorkerState {
+            link: Box::new(DeadLink::new("host test")),
+            alive: true,
+            last_beat: Instant::now(),
+            inflight: Vec::new(),
+            gen: 0,
+            host: Some(0),
+            reconnects_left: 0,
+            counts: WalkCounts::default(),
+        }
+    }
+
+    #[test]
+    fn each_session_folds_its_latest_counts_once() {
+        let at = |walks| WalkCounts {
+            walks,
+            table_walks: walks + 1,
+            ..WalkCounts::default()
+        };
+        let mut stats = GridStats {
+            hosts: vec![HostStats::default()],
+            ..GridStats::default()
+        };
+        let store = ArtifactStore::new(std::env::temp_dir().join("prism-coord-counts-test"));
+        let mut workers = vec![remote_worker(), remote_worker()];
+        let mut reports = vec![SweepReport::default(), SweepReport::default()];
+        let mut fetch_pending = vec![0, 0];
+
+        // Shard 0 reports cumulative counters with two results, then dies
+        // without a `bye`; a frame that arrives after its death is ignored.
+        workers[0].note_counts(at(3));
+        workers[0].note_counts(at(5));
+        mark_dead_and_reassign(
+            0,
+            "killed",
+            "",
+            &mut workers,
+            &[],
+            &mut VecDeque::new(),
+            &mut reports,
+            &mut fetch_pending,
+            &mut stats,
+        );
+        workers[0].note_counts(at(9));
+        assert_eq!(stats.counts, at(5));
+
+        // Shard 1 says `bye` after one result: the `bye` value replaces it.
+        workers[1].note_counts(at(2));
+        let bye = FromWorker::Bye { counts: at(4) };
+        absorb_frame(
+            1,
+            bye,
+            &mut workers,
+            &store,
+            &mut reports,
+            &mut fetch_pending,
+            &mut stats,
+        );
+
+        // The end of the run folds nothing twice.
+        for w in &mut workers {
+            w.end_session(&mut stats);
+        }
+        let mut total = at(5);
+        total += at(4);
+        assert_eq!(stats.counts, total);
+        assert_eq!(stats.hosts[0].counts, total);
+    }
 
     #[test]
     fn grid_timeout_parses_integer_milliseconds() {

@@ -49,7 +49,7 @@ pub use coord::{
 pub use proto::{FromWorker, ToWorker, WalkCounts, HEARTBEAT_INTERVAL, PROTO_VERSION};
 pub use worker::{
     run_worker, run_worker_if_env, run_worker_io, serve_tcp, GridFaultPlan, WorkerOptions,
-    SHARD_ENV, WORKER_ENV,
+    WORKER_ENV,
 };
 
 /// Environment variable selecting the grid worker count for front-ends

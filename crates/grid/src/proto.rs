@@ -36,14 +36,17 @@ use prism_pipeline::{
 /// handshake instead of silently misinterpreting messages. v3 dropped
 /// v2's coordinator-to-worker `artifact` push, narrowed `fetch` and the
 /// `result` frame's artifact to the one design-point key, and added the
-/// table-walk counters to `bye`.
-pub const PROTO_VERSION: u64 = 3;
+/// table-walk counters to `bye`. v4 added the session's cumulative walk
+/// counters to every `result`, as a `counts` object that `bye` now
+/// carries too.
+pub const PROTO_VERSION: u64 = 4;
 
 /// How often a healthy worker emits [`FromWorker::Heartbeat`].
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
 
-/// One session's timing-reuse counters: what a worker reports in
-/// [`FromWorker::Bye`], and what the coordinator sums per host and
+/// One session's timing-reuse counters, cumulative since the session
+/// opened: what a worker reports in every [`FromWorker::UnitResult`] and
+/// in [`FromWorker::Bye`], and what the coordinator sums per host and
 /// run-wide. The fields mean what the [`SessionStats`] fields of the
 /// same names mean (`walks` is `trace_walks`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,15 +82,20 @@ impl WalkCounts {
         }
     }
 
-    fn fields(&self) -> [(&'static str, u64); 6] {
-        [
-            ("walks", self.walks),
-            ("walks_skipped", self.walks_skipped),
-            ("shape_memo_hits", self.shape_memo_hits),
-            ("timing_artifacts_loaded", self.timing_artifacts_loaded),
-            ("table_walks", self.table_walks),
-            ("table_timings_loaded", self.table_timings_loaded),
-        ]
+    fn encode(&self) -> Json {
+        Json::Obj(
+            [
+                ("walks", self.walks),
+                ("walks_skipped", self.walks_skipped),
+                ("shape_memo_hits", self.shape_memo_hits),
+                ("timing_artifacts_loaded", self.timing_artifacts_loaded),
+                ("table_walks", self.table_walks),
+                ("table_timings_loaded", self.table_timings_loaded),
+            ]
+            .iter()
+            .map(|&(name, value)| (name.to_string(), Json::U64(value)))
+            .collect(),
+        )
     }
 
     fn decode(json: &Json) -> Option<Self> {
@@ -122,7 +130,7 @@ pub enum ToWorker {
     Hello {
         /// Must equal [`PROTO_VERSION`].
         proto: u64,
-        /// This worker's shard id (also in `PRISM_GRID_SHARD`).
+        /// This worker's shard id.
         shard: usize,
         /// Workload names (resolved against the registry worker-side).
         workloads: Vec<String>,
@@ -179,6 +187,9 @@ pub enum FromWorker {
         /// this result, so a coordinator on another host can pull it
         /// when its own store lacks it.
         artifact: String,
+        /// The session's walk counters so far, so a session that dies
+        /// before its `Bye` still reports the walks it performed.
+        counts: WalkCounts,
     },
     /// A unit (or a whole workload) was quarantined on this shard.
     UnitQuarantine {
@@ -324,12 +335,14 @@ impl FromWorker {
                 id,
                 result,
                 artifact,
+                counts,
             } => obj(
                 "result",
                 vec![
                     ("id".into(), Json::U64(*id)),
                     ("result".into(), encode_design_result(result)),
                     ("artifact".into(), Json::Str(artifact.clone())),
+                    ("counts".into(), counts.encode()),
                 ],
             ),
             FromWorker::UnitQuarantine { id, key, error } => obj(
@@ -347,14 +360,7 @@ impl FromWorker {
                     ("doc".into(), Json::Str(doc.clone())),
                 ],
             ),
-            FromWorker::Bye { counts } => obj(
-                "bye",
-                counts
-                    .fields()
-                    .iter()
-                    .map(|&(name, value)| (name.to_string(), Json::U64(value)))
-                    .collect(),
-            ),
+            FromWorker::Bye { counts } => obj("bye", vec![("counts".into(), counts.encode())]),
             FromWorker::Fatal { message } => obj(
                 "fatal",
                 vec![("message".into(), Json::Str(message.clone()))],
@@ -392,6 +398,7 @@ impl FromWorker {
                     id: json.get("id")?.as_u64()?,
                     result: decode_design_result(json.get("result")?)?,
                     artifact: json.get("artifact")?.as_str()?.to_string(),
+                    counts: WalkCounts::decode(json.get("counts")?)?,
                 })
             })()
             .ok_or_else(shape),
@@ -414,7 +421,9 @@ impl FromWorker {
                 })
             })()
             .ok_or_else(shape),
-            "bye" => WalkCounts::decode(&json)
+            "bye" => json
+                .get("counts")
+                .and_then(WalkCounts::decode)
                 .map(|counts| FromWorker::Bye { counts })
                 .ok_or_else(shape),
             "fatal" => (|| {
@@ -487,6 +496,14 @@ mod tests {
                 id: 5,
                 result,
                 artifact: "12".repeat(32),
+                counts: WalkCounts {
+                    walks: 2,
+                    walks_skipped: 9,
+                    shape_memo_hits: 5,
+                    timing_artifacts_loaded: 4,
+                    table_walks: 6,
+                    table_timings_loaded: 1,
+                },
             },
             FromWorker::Artifact {
                 key: "34".repeat(32),
@@ -543,9 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn v3_frames_require_every_field() {
+    fn v4_frames_require_every_field() {
         // The handshake refuses any other version, so a `result` without
-        // its artifact key or a `bye` without its counters is garbled.
+        // its artifact key or its counters, or a `bye` without a counter,
+        // is garbled.
         let result = FromWorker::UnitResult {
             id: 3,
             result: DesignResult {
@@ -556,11 +574,20 @@ mod tests {
                 per_workload: vec![],
             },
             artifact: "ab".repeat(32),
+            counts: WalkCounts::default(),
+        };
+        let line = result.encode();
+        for stripped in [
+            line.replace(&format!(",\"artifact\":\"{}\"", "ab".repeat(32)), ""),
+            line.replace(
+                &format!(",\"counts\":{}", WalkCounts::default().encode()),
+                "",
+            ),
+            line.replace(",\"table_walks\":0", ""),
+        ] {
+            assert_ne!(line, stripped);
+            assert!(FromWorker::decode(&stripped).is_err(), "{stripped}");
         }
-        .encode();
-        let stripped = result.replace(&format!(",\"artifact\":\"{}\"", "ab".repeat(32)), "");
-        assert_ne!(result, stripped);
-        assert!(FromWorker::decode(&stripped).is_err(), "{stripped}");
         let bye = FromWorker::Bye {
             counts: WalkCounts::default(),
         }

@@ -43,9 +43,6 @@ use crate::proto::{FromWorker, ToWorker, WalkCounts, HEARTBEAT_INTERVAL, PROTO_V
 /// Set (to any value) in a worker process's environment.
 pub const WORKER_ENV: &str = "PRISM_GRID_WORKER";
 
-/// The worker's shard id (decimal).
-pub const SHARD_ENV: &str = "PRISM_GRID_SHARD";
-
 /// Runs the worker protocol and exits the process when `PRISM_GRID_WORKER`
 /// is set; returns immediately otherwise. Call this first in `main` of any
 /// binary that may serve as a grid worker — before anything is written to
@@ -142,16 +139,12 @@ fn send<W: Write>(out: &Mutex<W>, msg: &FromWorker) {
 }
 
 /// Runs the worker protocol over this process's stdin/stdout until
-/// shutdown, returning the process exit code. The shard id comes from
-/// `PRISM_GRID_SHARD` (default 0).
+/// shutdown, returning the process exit code. The shard id comes from the
+/// `Hello` the coordinator writes on the same pipe.
 #[must_use]
 pub fn run_worker() -> i32 {
-    let shard: usize = std::env::var(SHARD_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0);
     let opts = WorkerOptions {
-        expected_shard: Some(shard),
+        expected_shard: None,
         store_dir: None,
         store_cap: prism_pipeline::store_cap_from_env(),
         faults: GridFaultPlan(FaultPlan::from_env()),
@@ -527,6 +520,7 @@ fn evaluate_unit<W: Write>(
         let wkeys: Vec<ContentHash> = data.iter().map(|p| p.key).collect();
         session.design_point_key(&wkeys, &core, &bsas).hex()
     };
+    let counts = WalkCounts::of(&session.stats());
     let mut resolved = false;
     for result in report.results {
         send(
@@ -535,6 +529,7 @@ fn evaluate_unit<W: Write>(
                 id: unit.id,
                 result,
                 artifact: artifact.clone(),
+                counts,
             },
         );
         resolved = true;

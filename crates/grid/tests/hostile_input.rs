@@ -136,6 +136,14 @@ fn from_worker_corpus() -> Vec<Vec<u8>> {
             id: 5,
             result: sample_result("OOO2-SDN"),
             artifact: "12".repeat(32),
+            counts: WalkCounts {
+                walks: 2,
+                walks_skipped: 9,
+                shape_memo_hits: 5,
+                timing_artifacts_loaded: 4,
+                table_walks: 6,
+                table_timings_loaded: 1,
+            },
         },
         FromWorker::Artifact {
             key: "ef".repeat(32),

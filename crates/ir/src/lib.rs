@@ -89,12 +89,9 @@ pub struct ProgramIr {
 impl ProgramIr {
     /// Runs the full analysis stack over a trace.
     ///
-    /// This is the one consumer in the streaming architecture that
-    /// genuinely needs a *materialized* [`prism_sim::Trace`]: Ball–Larus
-    /// path profiling and the loop analyses make multiple random-access
-    /// passes over the full dynamic stream. Chunked producers
-    /// ([`prism_sim::TraceSource`]) should `materialize()` (or accumulate
-    /// chunks) before calling this.
+    /// This consumer needs the whole [`prism_sim::Trace`], not a window
+    /// of it: Ball–Larus path profiling and the loop analyses make
+    /// multiple random-access passes over the full dynamic stream.
     #[must_use]
     pub fn analyze(trace: &prism_sim::Trace) -> Self {
         let cfg = Cfg::build(trace);

@@ -77,7 +77,7 @@ pub use journal::{journal_path, sweep_key, JournalReplay, SweepJournal, JOURNAL_
 pub use json::Json;
 pub use key::{KeyBuilder, KEY_SCHEMA_VERSION, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use par::{flag_from_args, jobs_from_args, parallel_map, resolve_jobs};
-pub use session::{DivergenceGuard, PreparedWorkload, Session, SessionStats};
+pub use session::{DivergenceGuard, PreparedWorkload, Session, SessionStats, DEFAULT_CHUNK_INSTS};
 pub use store::{
     fsync_enabled, store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW, NO_FSYNC_ENV,
     STORE_CAP_ENV,

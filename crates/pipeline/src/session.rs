@@ -23,7 +23,7 @@ use prism_exocore::{
     all_bsa_subsets, all_cores, oracle_pick, oracle_table_with, DesignPoint, DesignResult,
     OracleTable, WorkloadData, WorkloadMetrics,
 };
-use prism_sim::{SimSource, Trace, TraceSource, TracerConfig};
+use prism_sim::{trace_with, Trace, TracerConfig};
 use prism_tdg::{price_exocore, run_exocore_timing, Assignment, BsaKind, ExoTiming};
 use prism_udg::{simulate_reference, simulate_trace, CoreConfig, ExecBudget, NODES_PER_INST};
 use prism_workloads::{Suite, Workload};
@@ -39,6 +39,11 @@ use crate::key::KeyBuilder;
 use crate::par::{parallel_map, resolve_jobs};
 use crate::store::{store_cap_from_env, ArtifactStore, StoreStats, GC_SAFETY_WINDOW};
 use crate::sweep::SweepReport;
+
+/// Recorded instructions per `trace.truncate` fault site: a trace of `n`
+/// instructions rolls the sites `{name}:chunk0` ..
+/// `{name}:chunk{max(1, ⌈n / DEFAULT_CHUNK_INSTS⌉) - 1}`.
+pub const DEFAULT_CHUNK_INSTS: usize = 64 * 1024;
 
 /// A workload prepared by a [`Session`]: its content key plus the shared
 /// trace/IR/plans data. Dereferences to [`WorkloadData`].
@@ -652,49 +657,34 @@ impl Session {
         Ok(PreparedWorkload { key, data })
     }
 
-    /// Records `program`'s trace chunk-by-chunk from the simulator,
-    /// applying per-chunk fault injection (`{name}:chunk{i}` sites), and
-    /// assembles the chunks into one materialized [`Trace`].
+    /// Records `program`'s trace, then rolls the `trace.truncate` fault
+    /// site once per [`DEFAULT_CHUNK_INSTS`]-instruction chunk of it
+    /// (`{name}:chunk{i}`, in order), failing at the first hit.
     fn record_trace(
         &self,
         program: &prism_isa::Program,
         name: &str,
     ) -> Result<Trace, PipelineError> {
-        let mut source =
-            SimSource::new(program, &self.tracer).map_err(|e| PipelineError::trace(name, &e))?;
         let started = std::time::Instant::now();
-        let mut insts = Vec::new();
-        let mut stats = prism_sim::TraceStats::default();
-        loop {
-            let chunk = match source.next_chunk() {
-                Ok(Some(c)) => c,
-                Ok(None) => break,
-                Err(e) => return Err(PipelineError::trace(name, &e)),
-            };
-            if let Some(f) = &self.faults {
-                if f.rolls(Site::TraceTruncate, &format!("{name}:chunk{}", chunk.index)) {
-                    return Err(PipelineError::new(
-                        name,
-                        Stage::Trace,
-                        format!("injected fault: trace truncated at chunk {}", chunk.index),
-                    ));
-                }
-            }
-            stats = chunk.stats;
-            let last = chunk.last;
-            insts.extend(chunk.insts);
-            if last {
-                break;
+        let trace =
+            trace_with(program, &self.tracer).map_err(|e| PipelineError::trace(name, &e))?;
+        if let Some(f) = &self.faults {
+            let chunks = trace.len().div_ceil(DEFAULT_CHUNK_INSTS).max(1);
+            if let Some(i) =
+                (0..chunks).find(|i| f.rolls(Site::TraceTruncate, &format!("{name}:chunk{i}")))
+            {
+                return Err(PipelineError::new(
+                    name,
+                    Stage::Trace,
+                    format!("injected fault: trace truncated at chunk {i}"),
+                ));
             }
         }
-        self.sim_insts.fetch_add(stats.insts, Ordering::Relaxed);
+        self.sim_insts
+            .fetch_add(trace.stats.insts, Ordering::Relaxed);
         self.sim_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(Trace {
-            program: program.clone(),
-            insts,
-            stats,
-        })
+        Ok(trace)
     }
 
     /// Prepares a registered workload at its default size, multiplied by
@@ -754,15 +744,6 @@ impl Session {
             .collect()
     }
 
-    /// Prepares every registered workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure in registry order.
-    pub fn prepare_all(&self) -> Result<Vec<PreparedWorkload>, PipelineError> {
-        self.prepare_batch(&prism_workloads::ALL.iter().collect::<Vec<_>>())
-    }
-
     /// Prepares the workloads of one suite.
     ///
     /// # Errors
@@ -770,15 +751,6 @@ impl Session {
     /// Returns the first failure in registry order.
     pub fn prepare_suite(&self, suite: Suite) -> Result<Vec<PreparedWorkload>, PipelineError> {
         self.prepare_batch(&prism_workloads::by_suite(suite).collect::<Vec<_>>())
-    }
-
-    /// Prepares the microbenchmark set.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failure in registry order.
-    pub fn prepare_micro(&self) -> Result<Vec<PreparedWorkload>, PipelineError> {
-        self.prepare_batch(&prism_workloads::MICRO.iter().collect::<Vec<_>>())
     }
 
     /// The oracle table for `workload` on `core`'s base configuration,
@@ -1216,13 +1188,6 @@ impl Session {
         report
     }
 
-    /// [`Session::explore_grid`] over the paper's full 64-point space
-    /// (4 cores × 16 BSA subsets).
-    #[must_use]
-    pub fn explore(&self, data: &[PreparedWorkload]) -> SweepReport {
-        self.explore_grid(data, &all_cores(), &all_bsa_subsets())
-    }
-
     /// The fault-isolated, artifact-backed design-space sweep: design
     /// points already on disk are loaded instead of recomputed, workloads
     /// are prepared (with quarantine) only if at least one point is
@@ -1479,15 +1444,9 @@ impl Session {
     }
 
     /// The full 64-point exploration over every registered workload,
-    /// backed by the artifact store, with failure isolation.
-    #[must_use]
-    pub fn full_design_space(&self) -> SweepReport {
-        let workloads: Vec<&Workload> = prism_workloads::ALL.iter().collect();
-        self.evaluate_designs(&workloads, &all_cores(), &all_bsa_subsets())
-    }
-
-    /// [`Session::full_design_space`] with a sweep journal; with `resume`,
-    /// a previous interrupted run's journal is replayed first.
+    /// backed by the artifact store, with failure isolation and a sweep
+    /// journal; with `resume`, a previous interrupted run's journal is
+    /// replayed first.
     #[must_use]
     pub fn full_design_space_resumable(&self, resume: bool) -> SweepReport {
         let workloads: Vec<&Workload> = prism_workloads::ALL.iter().collect();

@@ -5,8 +5,9 @@
 
 use std::sync::Arc;
 
+use prism_pipeline::DEFAULT_CHUNK_INSTS;
 use prism_pipeline::{DivergenceGuard, ErrorKind, FaultPlan, Session, Site, Stage, SweepReport};
-use prism_sim::{TracerConfig, DEFAULT_CHUNK_INSTS};
+use prism_sim::TracerConfig;
 use prism_tdg::BsaKind;
 use prism_udg::{CoreConfig, ExecBudget};
 use prism_workloads::{Workload, MICRO};

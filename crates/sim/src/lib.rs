@@ -43,7 +43,6 @@ mod branch;
 mod cache;
 mod machine;
 mod memory;
-mod source;
 mod trace;
 mod tracer;
 
@@ -51,6 +50,5 @@ pub use branch::{BranchPredictor, BranchPredictorConfig};
 pub use cache::{Cache, CacheConfig, MemLevel, MemoryHierarchy, DEFAULT_DRAM_LATENCY};
 pub use machine::{ControlEffect, ExecError, Machine, MemEffect, StepEffect};
 pub use memory::Memory;
-pub use source::{MaterializedSource, SimSource, TraceChunk, TraceSource, DEFAULT_CHUNK_INSTS};
 pub use trace::{BranchRecord, DynInst, MemRecord, RegDepTracker, Trace, TraceStats};
 pub use tracer::{trace, trace_with, TraceError, TracerConfig};

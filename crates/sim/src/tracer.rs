@@ -5,7 +5,8 @@
 use prism_isa::Program;
 
 use crate::{
-    BranchPredictorConfig, CacheConfig, ExecError, Trace, TraceSource, DEFAULT_DRAM_LATENCY,
+    BranchPredictor, BranchPredictorConfig, BranchRecord, CacheConfig, DynInst, ExecError, Machine,
+    MemLevel, MemRecord, MemoryHierarchy, Trace, TraceStats, DEFAULT_DRAM_LATENCY,
 };
 
 /// Configuration for trace generation.
@@ -92,7 +93,88 @@ pub fn trace(program: &Program) -> Result<Trace, TraceError> {
 /// Returns [`TraceError::InvalidProgram`] if validation fails, or
 /// [`TraceError::Exec`] if execution faults (e.g. a runaway pc).
 pub fn trace_with(program: &Program, config: &TracerConfig) -> Result<Trace, TraceError> {
-    crate::SimSource::new(program, config)?.materialize()
+    program.validate()?;
+    let mut machine = Machine::new(program);
+    let mut dcache = MemoryHierarchy::new(config.l1d, config.l2, config.dram_latency);
+    let mut predictor = BranchPredictor::new(config.branch);
+    let mut stats = TraceStats::default();
+    let mut insts = Vec::new();
+    let mut executed = 0u64;
+
+    while !machine.is_halted() && stats.insts < config.max_insts {
+        let effect = machine.step(program)?;
+        let recording = executed >= config.fast_forward;
+        executed += 1;
+
+        let mem = effect.mem.map(|m| {
+            let (latency, level) = dcache.access(m.addr, effect.sid);
+            MemRecord {
+                addr: m.addr,
+                width: m.width,
+                is_store: m.is_store,
+                latency,
+                level,
+            }
+        });
+
+        let is_cond_branch = program.inst(effect.sid).op.is_cond_branch();
+        let branch = effect.control.map(|c| {
+            let mispredicted = if is_cond_branch {
+                predictor.conditional(effect.sid, c.taken)
+            } else if c.is_call {
+                predictor.call(effect.sid + 1);
+                false
+            } else if c.is_return {
+                predictor.ret(c.target)
+            } else {
+                false // direct jmp / halt
+            };
+            BranchRecord {
+                taken: c.taken,
+                target: c.target,
+                mispredicted,
+            }
+        });
+
+        if recording {
+            if let Some(m) = &mem {
+                if m.is_store {
+                    stats.stores += 1;
+                } else {
+                    stats.loads += 1;
+                }
+                match m.level {
+                    MemLevel::L1 => stats.l1_hits += 1,
+                    MemLevel::L2 => stats.l2_hits += 1,
+                    MemLevel::Dram => stats.dram_accesses += 1,
+                }
+            }
+            if let Some(b) = &branch {
+                if is_cond_branch {
+                    stats.cond_branches += 1;
+                }
+                if b.mispredicted {
+                    stats.mispredicts += 1;
+                }
+            }
+            insts.push(DynInst {
+                seq: stats.insts,
+                sid: effect.sid,
+                mem,
+                branch,
+            });
+            stats.insts += 1;
+        }
+        if effect.halted {
+            break;
+        }
+    }
+
+    Ok(Trace {
+        program: program.clone(),
+        insts,
+        stats,
+    })
 }
 
 #[cfg(test)]

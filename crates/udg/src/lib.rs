@@ -52,7 +52,7 @@ pub use model::{BindingCounts, CoreModel, InstTimes, MemDepTracker, ModelDep, Mo
 pub use reference::{simulate_reference, try_simulate_reference, ReferenceRun, Watchdog};
 pub use resource::ResourceTable;
 pub use run::{
-    finish_run, model_inst_for, model_inst_for_into, simulate_source, simulate_trace,
-    try_simulate_source, try_simulate_trace, CoreRun, RegTimes, SourceSimError, StreamSim,
+    finish_run, model_inst_for, model_inst_for_into, simulate_trace, try_simulate_trace, CoreRun,
+    RegTimes,
 };
 pub use seqtable::{FastBuildHasher, FastHasher, FastMap, FastSet, SeqTable};

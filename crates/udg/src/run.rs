@@ -1,20 +1,19 @@
 //! Whole-trace evaluation: builds the original µDG (the paper's
-//! `TDG_GPP,∅`) from a recorded trace — or, chunk by chunk, from a
-//! streaming [`TraceSource`] — and reports cycles, energy, and IPC.
+//! `TDG_GPP,∅`) from a recorded trace and reports cycles, energy, and IPC.
 //!
 //! The evaluation state is O(window), not O(trace): node times are
 //! finalized at insertion, and the only cross-instruction state is the
 //! per-register last-writer completion time ([`RegTimes`]) plus the
-//! memory-dependence footprint ([`MemDepTracker`]). Chunks can therefore
-//! be dropped as soon as they are consumed.
+//! memory-dependence footprint ([`MemDepTracker`]), pruned as stores
+//! complete.
 
 use prism_energy::{EnergyBreakdown, EnergyEvents, EnergyModel};
 use prism_isa::{Inst, Program, NUM_REGS};
-use prism_sim::{DynInst, RegDepTracker, Trace, TraceChunk, TraceError, TraceSource};
+use prism_sim::{RegDepTracker, Trace};
 
 use crate::{
-    BudgetExceeded, CoreConfig, CoreModel, ExecBudget, FuelMeter, MemDepTracker, ModelDep,
-    ModelInst, NODES_PER_INST,
+    BudgetExceeded, CoreConfig, CoreModel, ExecBudget, MemDepTracker, ModelDep, ModelInst,
+    NODES_PER_INST,
 };
 
 /// Result of evaluating a trace on a core configuration.
@@ -214,175 +213,39 @@ pub fn try_simulate_trace(
     config: &CoreConfig,
     budget: &ExecBudget,
 ) -> Result<CoreRun, BudgetExceeded> {
-    let mut sim = StreamSim::new(config, budget);
+    let program = &trace.program;
+    let mut core = CoreModel::new(config);
+    let mut regs = RegTimes::new();
+    let mut mems = MemDepTracker::new();
+    let mut meter = budget.meter();
+    // Reused per-instruction model buffer (no per-inst allocation).
+    let mut scratch = ModelInst::default();
+    let mut mem_prune_watermark = MEM_PRUNE_FLOOR;
     for d in &trace.insts {
-        sim.step(&trace.program, d)?;
-    }
-    Ok(sim.finish(config))
-}
-
-/// Store-footprint entries between prune passes of a [`StreamSim`]. Pruning
-/// rescans the footprint, so the watermark re-arms at twice the surviving
-/// size (amortized O(1) per instruction), never below this floor.
-const MEM_PRUNE_FLOOR: usize = 4096;
-
-/// Incremental µDG evaluation engine: feed dynamic instructions (or whole
-/// [`TraceChunk`]s) as they are produced; state stays O(window).
-#[derive(Debug)]
-pub struct StreamSim {
-    core: CoreModel,
-    regs: RegTimes,
-    mems: MemDepTracker,
-    meter: FuelMeter,
-    insts: u64,
-    /// Reused per-instruction model buffer (no per-inst allocation).
-    scratch: ModelInst,
-    mem_prune_watermark: usize,
-}
-
-impl StreamSim {
-    /// Creates an engine for `config` under `budget`.
-    #[must_use]
-    pub fn new(config: &CoreConfig, budget: &ExecBudget) -> Self {
-        StreamSim {
-            core: CoreModel::new(config),
-            regs: RegTimes::new(),
-            mems: MemDepTracker::new(),
-            meter: budget.meter(),
-            insts: 0,
-            scratch: ModelInst::default(),
-            mem_prune_watermark: MEM_PRUNE_FLOOR,
-        }
-    }
-
-    /// Issues one dynamic instruction into the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExceeded`] if charging [`NODES_PER_INST`] fuel trips
-    /// the budget.
-    pub fn step(&mut self, program: &Program, d: &DynInst) -> Result<(), BudgetExceeded> {
-        self.meter.charge(NODES_PER_INST)?;
-        model_inst_for_into(program, d, &self.regs, &self.mems, &mut self.scratch);
-        let times = self.core.issue(&self.scratch);
-        let inst = program.inst(d.sid);
-        self.regs.retire(inst, d.seq, times.complete);
+        meter.charge(NODES_PER_INST)?;
+        model_inst_for_into(program, d, &regs, &mems, &mut scratch);
+        let times = core.issue(&scratch);
+        regs.retire(program.inst(d.sid), d.seq, times.complete);
         if let Some(m) = &d.mem {
             if m.is_store {
-                self.mems.record_store(m.addr, m.width, times.complete);
+                mems.record_store(m.addr, m.width, times.complete);
             }
         }
         // Keep the store footprint O(live): dispatch times are
         // non-decreasing, so any store that completed by this dispatch can
         // never delay a later load — dropping it is timing-exact.
-        if self.mems.len() >= self.mem_prune_watermark {
-            self.mems.prune_completed_by(times.dispatch);
-            self.mem_prune_watermark = (self.mems.len() * 2).max(MEM_PRUNE_FLOOR);
-        }
-        self.insts += 1;
-        Ok(())
-    }
-
-    /// Issues every instruction of `chunk`.
-    ///
-    /// # Errors
-    ///
-    /// See [`StreamSim::step`].
-    pub fn feed_chunk(
-        &mut self,
-        program: &Program,
-        chunk: &TraceChunk,
-    ) -> Result<(), BudgetExceeded> {
-        for d in &chunk.insts {
-            self.step(program, d)?;
-        }
-        Ok(())
-    }
-
-    /// Instructions issued so far.
-    #[must_use]
-    pub fn insts(&self) -> u64 {
-        self.insts
-    }
-
-    /// Finalizes the run into a [`CoreRun`].
-    #[must_use]
-    pub fn finish(self, config: &CoreConfig) -> CoreRun {
-        finish_run(self.core, config, self.insts)
-    }
-}
-
-/// Error from a source-driven evaluation: either the evaluation budget
-/// tripped or the underlying simulator faulted while producing the trace.
-#[derive(Debug)]
-pub enum SourceSimError {
-    /// The µDG node budget was exhausted.
-    Budget(BudgetExceeded),
-    /// The functional simulator failed to produce the next chunk.
-    Trace(TraceError),
-}
-
-impl std::fmt::Display for SourceSimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SourceSimError::Budget(e) => write!(f, "{e}"),
-            SourceSimError::Trace(e) => write!(f, "{e}"),
+        if mems.len() >= mem_prune_watermark {
+            mems.prune_completed_by(times.dispatch);
+            mem_prune_watermark = (mems.len() * 2).max(MEM_PRUNE_FLOOR);
         }
     }
+    Ok(finish_run(core, config, trace.insts.len() as u64))
 }
 
-impl std::error::Error for SourceSimError {}
-
-impl From<BudgetExceeded> for SourceSimError {
-    fn from(e: BudgetExceeded) -> Self {
-        SourceSimError::Budget(e)
-    }
-}
-
-impl From<TraceError> for SourceSimError {
-    fn from(e: TraceError) -> Self {
-        SourceSimError::Trace(e)
-    }
-}
-
-/// Evaluates `config` over the chunks of `source`, overlapping simulation
-/// with evaluation and never holding more than one chunk in memory.
-///
-/// # Errors
-///
-/// Returns [`SourceSimError::Budget`] when the node budget trips, or
-/// [`SourceSimError::Trace`] when the simulator faults.
-pub fn try_simulate_source<S: TraceSource>(
-    source: &mut S,
-    config: &CoreConfig,
-    budget: &ExecBudget,
-) -> Result<CoreRun, SourceSimError> {
-    let mut sim = StreamSim::new(config, budget);
-    while let Some(chunk) = source.next_chunk()? {
-        sim.feed_chunk(source.program(), &chunk)?;
-        if chunk.last {
-            break;
-        }
-    }
-    Ok(sim.finish(config))
-}
-
-/// [`try_simulate_source`] with an unlimited budget; still surfaces
-/// simulator faults.
-///
-/// # Errors
-///
-/// Returns [`TraceError`] when the simulator faults mid-stream.
-pub fn simulate_source<S: TraceSource>(
-    source: &mut S,
-    config: &CoreConfig,
-) -> Result<CoreRun, TraceError> {
-    match try_simulate_source(source, config, &ExecBudget::unlimited()) {
-        Ok(run) => Ok(run),
-        Err(SourceSimError::Trace(e)) => Err(e),
-        Err(SourceSimError::Budget(_)) => unreachable!("unlimited budget cannot trip"),
-    }
-}
+/// Store-footprint entries between prune passes of [`try_simulate_trace`].
+/// Pruning rescans the footprint, so the watermark re-arms at twice the
+/// surviving size (amortized O(1) per instruction), never below this floor.
+const MEM_PRUNE_FLOOR: usize = 4096;
 
 /// Packages a finished [`CoreModel`] into a [`CoreRun`], pricing its events
 /// with the default [`EnergyModel`].
@@ -568,33 +431,5 @@ mod tests {
         let t = prism_sim::trace(&dp_kernel(50)).unwrap();
         let run = simulate_trace(&t, &CoreConfig::ooo2());
         assert!(run.ipe() > 0.0);
-    }
-
-    #[test]
-    fn streaming_source_matches_materialized_trace() {
-        let p = dp_kernel(300);
-        let t = prism_sim::trace(&p).unwrap();
-        let whole = simulate_trace(&t, &CoreConfig::ooo2());
-        // Drive the same evaluation straight off the simulator with a tiny
-        // chunk size so several chunk boundaries land mid-loop.
-        let mut src = prism_sim::SimSource::new(&p, &prism_sim::TracerConfig::default())
-            .unwrap()
-            .with_chunk_size(257);
-        let streamed = simulate_source(&mut src, &CoreConfig::ooo2()).unwrap();
-        assert_eq!(streamed.cycles, whole.cycles);
-        assert_eq!(streamed.insts, whole.insts);
-        assert_eq!(streamed.energy.total(), whole.energy.total());
-        assert_eq!(streamed.binding, whole.binding);
-    }
-
-    #[test]
-    fn source_budget_trips_mid_stream() {
-        let p = dp_kernel(500);
-        let mut src = prism_sim::SimSource::new(&p, &prism_sim::TracerConfig::default()).unwrap();
-        let budget = ExecBudget::new(10 * NODES_PER_INST);
-        match try_simulate_source(&mut src, &CoreConfig::ooo2(), &budget) {
-            Err(SourceSimError::Budget(e)) => assert_eq!(e.max_nodes, 10 * NODES_PER_INST),
-            other => panic!("expected budget trip, got {other:?}"),
-        }
     }
 }

@@ -129,7 +129,7 @@ pub const SCALE_ENV: &str = "PRISM_SCALE";
 
 /// The `PRISM_SCALE` problem-size multiplier (default 1): `PRISM_SCALE=16`
 /// runs every kernel at 16× its default iteration count, so long-trace
-/// behavior (streaming, bounded memory) is exercisable without editing
+/// behavior (peak RSS, windowed walks) is exercisable without editing
 /// kernels.
 ///
 /// # Panics
